@@ -320,25 +320,56 @@ pub fn injection_counts() -> Vec<(String, u64)> {
 
 static SCOPE: Mutex<()> = Mutex::new(());
 
-/// Serialises tests that arm plans (chaos state is process-global) and
-/// disarms on drop.
-#[must_use = "the plan disarms when the guard drops"]
-pub struct ArmedGuard {
+/// Exclusive use of the process-global chaos state: while one guard
+/// lives, no other [`exclusive`] or [`arm_scoped`] caller runs, so no
+/// other test's plan can fire at this thread's sites. Disarms on drop.
+#[must_use = "exclusivity ends when the guard drops"]
+pub struct ChaosGuard {
     _scope: MutexGuard<'static, ()>,
 }
 
-/// Arms a plan for the lifetime of the returned guard. Tests use this so
-/// concurrent test threads never see each other's plans.
-pub fn arm_scoped(plan: FaultPlan) -> ArmedGuard {
+/// Takes exclusive use of the chaos state for a whole test body,
+/// including its unarmed phases (a clean baseline run, a clean save):
+/// those must not see a sibling test's armed plan either. Arm plans
+/// inside it with [`ChaosGuard::arm`].
+pub fn exclusive() -> ChaosGuard {
     let scope = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
-    arm(plan);
-    ArmedGuard { _scope: scope }
+    disarm();
+    ChaosGuard { _scope: scope }
 }
 
-impl Drop for ArmedGuard {
+impl ChaosGuard {
+    /// Arms `plan` until the returned guard drops; exclusivity outlives it.
+    pub fn arm(&self, plan: FaultPlan) -> ArmedPlan<'_> {
+        arm(plan);
+        ArmedPlan { _exclusive: self }
+    }
+}
+
+impl Drop for ChaosGuard {
     fn drop(&mut self) {
         disarm();
     }
+}
+
+/// A plan armed under a [`ChaosGuard`]; disarms on drop.
+#[must_use = "the plan disarms when the guard drops"]
+pub struct ArmedPlan<'a> {
+    _exclusive: &'a ChaosGuard,
+}
+
+impl Drop for ArmedPlan<'_> {
+    fn drop(&mut self) {
+        disarm();
+    }
+}
+
+/// Arms a plan for the lifetime of the returned guard: [`exclusive`]
+/// plus an arm in one call, for tests with no unarmed phase.
+pub fn arm_scoped(plan: FaultPlan) -> ChaosGuard {
+    let guard = exclusive();
+    arm(plan);
+    guard
 }
 
 /// The injection decision primitive. Disarmed cost: one relaxed atomic
@@ -555,6 +586,30 @@ mod tests {
         let caught = std::panic::catch_unwind(|| point("t.panic"));
         let msg = *caught.expect_err("must panic").downcast::<String>().expect("string payload");
         assert!(msg.contains("t.panic"), "panic names the site: {msg}");
+    }
+
+    #[test]
+    fn exclusive_guard_outlives_the_plans_armed_under_it() {
+        let chaos = exclusive();
+        assert!(point("t.exclusive").is_ok(), "unarmed phase is inert");
+        {
+            let _armed = chaos.arm(
+                FaultPlan::new(4).with_rule(SiteRule::always("t.exclusive", FaultKind::Error)),
+            );
+            assert!(point("t.exclusive").is_err());
+        }
+        assert!(!is_armed(), "the plan disarms with its own guard");
+        assert!(point("t.exclusive").is_ok());
+        // Exclusivity is still held: another thread cannot arm meanwhile.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let other = std::thread::spawn(move || {
+            let _guard = arm_scoped(FaultPlan::new(0));
+            tx.send(()).expect("receiver alive");
+        });
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err(), "sibling armed inside");
+        drop(chaos);
+        rx.recv().expect("sibling arms once the guard drops");
+        other.join().expect("sibling thread");
     }
 
     #[test]

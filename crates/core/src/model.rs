@@ -239,6 +239,17 @@ impl ActorCritic<Observation> for PolicyNetwork {
         let value = self.critic.forward(&input);
         (masked_log_probs(&logits, mask), value)
     }
+
+    /// The GCN and the actor head only; the critic MLP never runs.
+    fn log_probs(&self, obs: &Observation, mask: &[bool]) -> Tensor {
+        masked_log_probs(&self.actor.forward(&self.embed(obs)), mask)
+    }
+
+    /// The GCN and the critic head only; the actor MLP and the masked
+    /// log-softmax never run.
+    fn value(&self, obs: &Observation, _mask: &[bool]) -> Tensor {
+        self.critic.forward(&self.embed(obs))
+    }
 }
 
 #[cfg(test)]
@@ -348,6 +359,34 @@ mod tests {
             // Bitwise equality with the solo path.
             assert_eq!(many[i].0.to_vec(), solo_lp.to_vec(), "lane {i} log-probs");
             assert_eq!(many[i].1.item().to_bits(), solo_v.item().to_bits(), "lane {i} value");
+        }
+    }
+
+    #[test]
+    fn single_head_forwards_bit_identical_to_evaluate() {
+        use nptsn_rand::Rng;
+        let cfg = toy_config();
+        let mut rng = StdRng::seed_from_u64(0x4ead);
+        for seed in 0..8u64 {
+            let net = PolicyNetwork::new(&cfg, 5, 10, 7, seed);
+            let mut obs = toy_obs(5, 10);
+            let mut adjacency = vec![0.0f32; 25];
+            for i in 0..5 {
+                for j in i + 1..5 {
+                    let edge = f32::from(u8::from(rng.gen_range(0.0f32..1.0) < 0.5));
+                    adjacency[i * 5 + j] = edge;
+                    adjacency[j * 5 + i] = edge;
+                }
+            }
+            obs.ahat = nptsn_nn::normalized_adjacency(&adjacency, 5).to_vec().into();
+            obs.features.iter_mut().for_each(|v| *v = rng.gen_range(-1.0f32..1.0));
+            obs.aux.iter_mut().for_each(|v| *v = rng.gen_range(0.0f32..1.0));
+            let mut mask: Vec<bool> = (0..7).map(|_| rng.gen_range(0.0f32..1.0) < 0.6).collect();
+            mask[seed as usize % 7] = true;
+            let (logps, value) = net.evaluate(&obs, &mask);
+            let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&net.log_probs(&obs, &mask)), bits(&logps), "seed {seed} log-probs");
+            assert_eq!(bits(&net.value(&obs, &mask)), bits(&value), "seed {seed} value");
         }
     }
 

@@ -3,12 +3,13 @@
 //! Separate test binary: an armed [`nptsn_chaos::FaultPlan`] is
 //! process-global, and cargo runs test binaries sequentially, so plans
 //! armed here cannot leak into the planner unit tests. Within this binary,
-//! `arm_scoped` serializes the tests.
+//! every test holds [`nptsn_chaos::exclusive`] for its whole body, so a
+//! clean baseline run never sees a sibling test's plan.
 
 use std::sync::Arc;
 
 use nptsn::{Planner, PlannerConfig, PlanningProblem};
-use nptsn_chaos::{arm_scoped, FaultKind, FaultPlan, SiteRule};
+use nptsn_chaos::{exclusive, FaultKind, FaultPlan, SiteRule};
 use nptsn_sched::{FlowSet, FlowSpec, ShortestPathRecovery, TasConfig};
 use nptsn_topo::{ComponentLibrary, ConnectionGraph};
 
@@ -36,7 +37,8 @@ fn theta_problem() -> PlanningProblem {
 #[test]
 fn injected_nan_update_rolls_back_and_training_survives() {
     // `every=2` fires exactly on the second ppo_update call (epoch 1).
-    let _guard = arm_scoped(FaultPlan::new(7).with_rule(SiteRule {
+    let chaos = exclusive();
+    let _armed = chaos.arm(FaultPlan::new(7).with_rule(SiteRule {
         site: "planner.ppo_update".to_string(),
         kind: FaultKind::Error,
         every: 2,
@@ -72,13 +74,14 @@ fn injected_nan_update_rolls_back_and_training_survives() {
 fn rollback_recovers_the_pre_update_policy_exactly() {
     // A clean one-epoch run pins what the parameters look like before the
     // second epoch's update...
+    let chaos = exclusive();
     let cfg = PlannerConfig { max_epochs: 1, ..PlannerConfig::smoke_test() };
     let clean_one = Planner::new(theta_problem(), cfg).run_until(|_| true);
 
     // ...then a two-epoch run whose second update is poisoned must end on
     // exactly those parameters: the rollback restored the snapshot taken at
     // the top of epoch 1, which is the end of epoch 0.
-    let _guard = arm_scoped(FaultPlan::new(3).with_rule(SiteRule {
+    let _armed = chaos.arm(FaultPlan::new(3).with_rule(SiteRule {
         site: "planner.ppo_update".to_string(),
         kind: FaultKind::Error,
         every: 2,
@@ -96,7 +99,8 @@ fn rollback_recovers_the_pre_update_policy_exactly() {
 
 #[test]
 fn injected_rollout_faults_poison_workers_not_the_run() {
-    let _guard = arm_scoped(
+    let chaos = exclusive();
+    let _armed = chaos.arm(
         FaultPlan::new(5)
             .with_rule(SiteRule::always("planner.rollout", FaultKind::Panic)),
     );

@@ -8,7 +8,11 @@
 //! the same way `ScenarioCache` memoizes NBF outcomes per
 //! `(fingerprint, scenario)`. Mutating a topology changes its
 //! fingerprint, so stale entries are never *served*; they are dropped
-//! wholesale when the map reaches capacity.
+//! wholesale when the next insert would exceed the byte budget.
+//!
+//! The budget is in bytes, not entries: training visits thousands of
+//! one-off topologies, and an entry count sized for small graphs holds
+//! tens of megabytes of `Â` at ORION scale.
 //!
 //! Hit/miss counters are registered on the process-wide telemetry
 //! registry as `nptsn_infer_adjacency_cache_{hits,misses}_total`, so
@@ -24,15 +28,15 @@ use nptsn_obs::metrics::Counter;
 
 use crate::gcn::normalized_adjacency_data;
 
-/// A bounded, thread-safe cache of normalized-adjacency buffers keyed by
-/// a 128-bit topology fingerprint.
+/// A byte-bounded, thread-safe cache of normalized-adjacency buffers
+/// keyed by a 128-bit topology fingerprint.
 ///
 /// # Examples
 ///
 /// ```
 /// use nptsn_nn::AdjacencyCache;
 ///
-/// let cache = AdjacencyCache::new(16);
+/// let cache = AdjacencyCache::new(1024); // bytes; a 2 x 2 `Â` takes 16
 /// let a = cache.get_or_insert(7, &[0.0, 1.0, 1.0, 0.0], 2);
 /// let b = cache.get_or_insert(7, &[0.0, 1.0, 1.0, 0.0], 2);
 /// assert!(std::sync::Arc::ptr_eq(&a, &b));
@@ -40,23 +44,36 @@ use crate::gcn::normalized_adjacency_data;
 /// assert_eq!(cache.misses(), 1);
 /// ```
 pub struct AdjacencyCache {
-    map: Mutex<HashMap<u128, Arc<[f32]>>>,
-    capacity: usize,
+    entries: Mutex<Entries>,
+    budget_bytes: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
+/// The cached buffers and the bytes of `f32` data they hold.
+#[derive(Default)]
+struct Entries {
+    map: HashMap<u128, Arc<[f32]>>,
+    bytes: usize,
+}
+
 impl AdjacencyCache {
-    /// Creates a cache holding at most `capacity` topologies; when full,
-    /// the whole map is cleared (fingerprints do not revisit old values,
-    /// so eviction order is irrelevant and a clear keeps the lock cheap).
-    pub fn new(capacity: usize) -> AdjacencyCache {
+    /// Creates a cache holding at most `budget_bytes` of adjacency data.
+    /// An insert that would exceed the budget first clears the whole map
+    /// (fingerprints do not revisit old values, so eviction order is
+    /// irrelevant and a clear keeps the lock cheap); a single matrix
+    /// larger than the budget is returned uncached.
+    pub fn new(budget_bytes: usize) -> AdjacencyCache {
         AdjacencyCache {
-            map: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
+            entries: Mutex::new(Entries::default()),
+            budget_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Entries> {
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Returns the cached `Â` for `key`, normalizing `adjacency`
@@ -70,13 +87,10 @@ impl AdjacencyCache {
     /// Panics when `adjacency.len() != n * n` on a miss.
     pub fn get_or_insert(&self, key: u128, adjacency: &[f32], n: usize) -> Arc<[f32]> {
         let counters = telemetry_counters();
-        {
-            let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = map.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                counters.hits.inc();
-                return Arc::clone(hit);
-            }
+        if let Some(hit) = self.lock().map.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            counters.hits.inc();
+            return Arc::clone(hit);
         }
         // Normalize outside the lock: misses are the expensive path and
         // concurrent misses on the same key just race to insert equal bits.
@@ -84,16 +98,26 @@ impl AdjacencyCache {
         let value: Arc<[f32]> = normalized_adjacency_data(adjacency, n).into();
         self.misses.fetch_add(1, Ordering::Relaxed);
         counters.misses.inc();
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        if map.len() >= self.capacity {
-            map.clear();
+        let size = std::mem::size_of_val(&*value);
+        if size > self.budget_bytes {
+            return value;
         }
-        Arc::clone(map.entry(key).or_insert(value))
+        let mut entries = self.lock();
+        if let Some(raced) = entries.map.get(&key) {
+            return Arc::clone(raced);
+        }
+        if entries.bytes + size > self.budget_bytes {
+            entries.map.clear();
+            entries.bytes = 0;
+        }
+        entries.bytes += size;
+        entries.map.insert(key, Arc::clone(&value));
+        value
     }
 
     /// Number of cached topologies.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.lock().map.len()
     }
 
     /// True when nothing is cached.
@@ -134,10 +158,14 @@ fn telemetry_counters() -> &'static CacheCounters {
     })
 }
 
+/// Byte budget of the process-wide [`adjacency_cache`]: about 490 ORION
+/// topologies (46 nodes, 8.3 KiB each).
+const ADJACENCY_CACHE_BYTES: usize = 4 << 20;
+
 /// The process-wide adjacency cache shared by every inference path.
 pub fn adjacency_cache() -> &'static AdjacencyCache {
     static GLOBAL: OnceLock<AdjacencyCache> = OnceLock::new();
-    GLOBAL.get_or_init(|| AdjacencyCache::new(4096))
+    GLOBAL.get_or_init(|| AdjacencyCache::new(ADJACENCY_CACHE_BYTES))
 }
 
 #[cfg(test)]
@@ -147,7 +175,7 @@ mod tests {
 
     #[test]
     fn caches_by_key_and_matches_uncached_bits() {
-        let cache = AdjacencyCache::new(8);
+        let cache = AdjacencyCache::new(1024);
         let adj = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
         let cached = cache.get_or_insert(42, &adj, 3);
         assert_eq!(&cached[..], normalized_adjacency(&adj, 3).to_vec().as_slice());
@@ -159,13 +187,42 @@ mod tests {
     }
 
     #[test]
-    fn clears_at_capacity_instead_of_growing() {
-        let cache = AdjacencyCache::new(2);
+    fn clears_at_budget_instead_of_growing() {
+        // Room for two 2 x 2 matrices (16 bytes each).
+        let cache = AdjacencyCache::new(32);
         for key in 0..5u128 {
             cache.get_or_insert(key, &[0.0; 4], 2);
             assert!(cache.len() <= 2, "len {} after key {key}", cache.len());
         }
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 5);
+    }
+
+    #[test]
+    fn distinct_orion_topologies_never_exceed_the_byte_budget() {
+        let n = 46;
+        let budget = 100_000; // room for 11 of the 8464-byte matrices
+        let cache = AdjacencyCache::new(budget);
+        for key in 0..200u128 {
+            let mut adj = vec![0.0f32; n * n];
+            let (i, j) = ((key as usize) % n, (key as usize * 7 + 1) % n);
+            adj[i * n + j] = 1.0;
+            adj[j * n + i] = 1.0;
+            cache.get_or_insert(key, &adj, n);
+            let bytes = cache.lock().bytes;
+            assert!(bytes <= budget, "{bytes} bytes after key {key}");
+            assert_eq!(bytes, cache.len() * n * n * 4);
+        }
+        assert_eq!(cache.misses(), 200);
+    }
+
+    #[test]
+    fn matrix_above_the_budget_is_served_uncached() {
+        let cache = AdjacencyCache::new(15);
+        let adj = [0.0, 1.0, 1.0, 0.0];
+        let a = cache.get_or_insert(1, &adj, 2);
+        assert_eq!(&a[..], normalized_adjacency(&adj, 2).to_vec().as_slice());
+        assert!(cache.is_empty());
+        assert_eq!(cache.lock().bytes, 0);
     }
 }

@@ -3,12 +3,13 @@
 //! These live in their own test binary (not the unit-test module) because an
 //! armed [`nptsn_chaos::FaultPlan`] is process-global: cargo runs test
 //! binaries one at a time, so plans armed here can never leak into the
-//! checkpoint unit tests. Within this binary, `arm_scoped` serializes the
-//! tests that arm plans.
+//! checkpoint unit tests. Within this binary, every test holds
+//! [`nptsn_chaos::exclusive`] for its whole body: the clean saves and loads
+//! around an armed phase must not receive a sibling test's faults.
 
 use std::path::PathBuf;
 
-use nptsn_chaos::{arm_scoped, FaultKind, FaultPlan, SiteRule};
+use nptsn_chaos::{exclusive, FaultKind, FaultPlan, SiteRule};
 use nptsn_nn::{load_params, save_params_atomic, CheckpointError, CheckpointFileError};
 use nptsn_tensor::Tensor;
 
@@ -18,10 +19,11 @@ fn temp_path(test: &str) -> PathBuf {
 
 #[test]
 fn corrupt_save_is_caught_by_the_crc_on_load() {
+    let chaos = exclusive();
     let path = temp_path("corrupt-save");
     let p = Tensor::param(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
     {
-        let _guard = arm_scoped(
+        let _armed = chaos.arm(
             FaultPlan::new(42).with_rule(SiteRule::always("checkpoint.save", FaultKind::Corrupt)),
         );
         // The save itself "succeeds" — the corruption is silent, exactly
@@ -42,6 +44,7 @@ fn corrupt_save_is_caught_by_the_crc_on_load() {
 
 #[test]
 fn torn_save_keeps_the_previous_checkpoint_and_cleans_the_temp() {
+    let chaos = exclusive();
     let path = temp_path("torn-save");
     let p = Tensor::param(1, 2, vec![5.0, 6.0]);
     save_params_atomic(std::slice::from_ref(&p), &path).expect("clean save");
@@ -49,7 +52,7 @@ fn torn_save_keeps_the_previous_checkpoint_and_cleans_the_temp() {
 
     let q = Tensor::param(1, 2, vec![7.0, 8.0]);
     {
-        let _guard = arm_scoped(
+        let _armed = chaos.arm(
             FaultPlan::new(1).with_rule(SiteRule::always("checkpoint.save", FaultKind::Error)),
         );
         match save_params_atomic(std::slice::from_ref(&q), &path) {
@@ -75,10 +78,11 @@ fn torn_save_keeps_the_previous_checkpoint_and_cleans_the_temp() {
 
 #[test]
 fn corrupt_load_is_caught_even_when_the_file_is_intact() {
+    let chaos = exclusive();
     let path = temp_path("corrupt-load");
     let p = Tensor::param(1, 2, vec![5.0, 6.0]);
     save_params_atomic(std::slice::from_ref(&p), &path).expect("clean save");
-    let _guard = arm_scoped(
+    let _armed = chaos.arm(
         FaultPlan::new(9).with_rule(SiteRule::always("checkpoint.load", FaultKind::Corrupt)),
     );
     let target = Tensor::param(1, 2, vec![0.0; 2]);
@@ -92,10 +96,11 @@ fn corrupt_load_is_caught_even_when_the_file_is_intact() {
 
 #[test]
 fn injected_read_error_surfaces_as_io() {
+    let chaos = exclusive();
     let path = temp_path("read-error");
     let p = Tensor::param(1, 1, vec![1.0]);
     save_params_atomic(std::slice::from_ref(&p), &path).expect("clean save");
-    let _guard = arm_scoped(
+    let _armed = chaos.arm(
         FaultPlan::new(2).with_rule(SiteRule::always("checkpoint.load", FaultKind::Error)),
     );
     match load_params(std::slice::from_ref(&p), &path) {

@@ -86,8 +86,24 @@ use nptsn_tensor::Tensor;
 /// (use [`masked_log_probs`]) and the value estimate `(1, 1)`; both must be
 /// differentiable back to the model parameters so [`ppo_update`] can train
 /// through them.
+///
+/// [`ppo_update`] trains each head through [`log_probs`](Self::log_probs)
+/// and [`value`](Self::value). Their defaults call `evaluate` and drop the
+/// other half; a model whose heads can run alone should override both, so
+/// the actor loop never runs the critic and vice versa. An override must
+/// return exactly what the matching half of `evaluate` returns.
 pub trait ActorCritic<O> {
     /// Computes the masked policy log-probabilities and the value for one
     /// observation.
     fn evaluate(&self, obs: &O, mask: &[bool]) -> (Tensor, Tensor);
+
+    /// The masked policy log-probabilities alone: `evaluate(obs, mask).0`.
+    fn log_probs(&self, obs: &O, mask: &[bool]) -> Tensor {
+        self.evaluate(obs, mask).0
+    }
+
+    /// The value estimate alone: `evaluate(obs, mask).1`.
+    fn value(&self, obs: &O, mask: &[bool]) -> Tensor {
+        self.evaluate(obs, mask).1
+    }
 }

@@ -144,7 +144,7 @@ pub fn ppo_update<O>(
     PpoStats { policy_loss, value_loss, approx_kl, entropy, policy_iters }
 }
 
-/// Evaluates the model on every step and gathers the chosen-action
+/// Runs the actor head on every step and gathers the chosen-action
 /// log-probabilities into a `(1, n)` tensor; also returns the mean entropy.
 fn batch_log_probs<O>(model: &impl ActorCritic<O>, batch: &Batch<O>) -> (Tensor, f32) {
     let mut parts = Vec::with_capacity(batch.len());
@@ -155,19 +155,18 @@ fn batch_log_probs<O>(model: &impl ActorCritic<O>, batch: &Batch<O>) -> (Tensor,
         .zip(batch.masks.iter())
         .zip(batch.actions.iter())
     {
-        let (logps, _) = model.evaluate(obs, mask);
+        let logps = model.log_probs(obs, mask);
         entropy += entropy_of_log_probs(&logps.to_vec());
         parts.push(logps.gather_cols(&[action]));
     }
     (Tensor::concat_cols(&parts), entropy / batch.len() as f32)
 }
 
-/// Evaluates the critic on every step into a `(1, n)` tensor.
+/// Runs the critic head on every step into a `(1, n)` tensor.
 fn batch_values<O>(model: &impl ActorCritic<O>, batch: &Batch<O>) -> Tensor {
     let mut parts = Vec::with_capacity(batch.len());
     for (obs, mask) in batch.observations.iter().zip(batch.masks.iter()) {
-        let (_, value) = model.evaluate(obs, mask);
-        parts.push(value);
+        parts.push(model.value(obs, mask));
     }
     Tensor::concat_cols(&parts)
 }

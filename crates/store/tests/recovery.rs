@@ -4,12 +4,16 @@
 //! mid-log record, empty segment, compaction interrupted at the rename
 //! site — must recover to a consistent prefix of the acknowledged writes
 //! and leave the store fully usable. None may panic.
+//!
+//! Every test holds [`nptsn_chaos::exclusive`] for its whole body: an
+//! armed `store.*` plan is process-global, and an unarmed test's writes
+//! must never receive a sibling test's faults.
 
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use nptsn_chaos::{arm_scoped, FaultKind, FaultPlan, SiteRule};
+use nptsn_chaos::{exclusive, FaultKind, FaultPlan, SiteRule};
 use nptsn_store::{LogConfig, LogStore, Storage};
 
 fn temp_dir(test: &str) -> PathBuf {
@@ -25,6 +29,7 @@ fn segment0(dir: &Path) -> PathBuf {
 
 #[test]
 fn torn_tail_is_truncated_to_last_good_record() {
+    let _chaos = exclusive();
     let dir = temp_dir("torn-tail");
     {
         let store = LogStore::open(&dir).unwrap();
@@ -57,6 +62,7 @@ fn torn_tail_is_truncated_to_last_good_record() {
 
 #[test]
 fn bad_crc_mid_log_cuts_replay_to_a_consistent_prefix() {
+    let _chaos = exclusive();
     let dir = temp_dir("bad-crc");
     let offsets: Vec<u64> = {
         let store = LogStore::open(&dir).unwrap();
@@ -92,6 +98,7 @@ fn bad_crc_mid_log_cuts_replay_to_a_consistent_prefix() {
 
 #[test]
 fn zero_length_segment_is_valid_and_empty() {
+    let _chaos = exclusive();
     let dir = temp_dir("empty-segment");
     {
         let store = LogStore::open(&dir).unwrap();
@@ -117,6 +124,7 @@ fn zero_length_segment_is_valid_and_empty() {
 
 #[test]
 fn foreign_file_is_refused_not_destroyed() {
+    let _chaos = exclusive();
     let dir = temp_dir("foreign");
     {
         let store = LogStore::open(&dir).unwrap();
@@ -135,6 +143,7 @@ fn foreign_file_is_refused_not_destroyed() {
 
 #[test]
 fn compaction_interrupted_at_rename_leaves_old_segments_authoritative() {
+    let chaos = exclusive();
     let dir = temp_dir("compact-rename");
     let store = LogStore::open_with(
         &dir,
@@ -151,7 +160,7 @@ fn compaction_interrupted_at_rename_leaves_old_segments_authoritative() {
     // The compacted image becomes durable but the rename — the commit
     // point — fails, as if the process died between fsync and rename.
     let err = {
-        let _armed = arm_scoped(FaultPlan::new(7).with_rule(SiteRule::always(
+        let _armed = chaos.arm(FaultPlan::new(7).with_rule(SiteRule::always(
             "store.compact.rename",
             FaultKind::Error,
         )));
@@ -180,6 +189,7 @@ fn compaction_interrupted_at_rename_leaves_old_segments_authoritative() {
 
 #[test]
 fn abandoned_compaction_tmp_is_removed_on_open() {
+    let _chaos = exclusive();
     let dir = temp_dir("tmp-sweep");
     {
         let store = LogStore::open(&dir).unwrap();
@@ -197,6 +207,7 @@ fn abandoned_compaction_tmp_is_removed_on_open() {
 
 #[test]
 fn export_live_reads_without_mutating_the_directory() {
+    let _chaos = exclusive();
     let dir = temp_dir("export-readonly");
     {
         let store = LogStore::open(&dir).unwrap();
@@ -234,6 +245,7 @@ fn export_live_reads_without_mutating_the_directory() {
 
 #[test]
 fn export_live_spans_segments_and_respects_override_order() {
+    let _chaos = exclusive();
     let dir = temp_dir("export-multiseg");
     {
         // Tiny segments force rotation so the export has to merge several
@@ -269,11 +281,12 @@ fn export_live_spans_segments_and_respects_override_order() {
 
 #[test]
 fn torn_append_fault_keeps_acknowledged_writes_consistent() {
+    let chaos = exclusive();
     let dir = temp_dir("torn-append");
     let mut acknowledged = Vec::new();
     {
         let store = LogStore::open(&dir).unwrap();
-        let _armed = arm_scoped(FaultPlan::new(11).with_rule(SiteRule {
+        let _armed = chaos.arm(FaultPlan::new(11).with_rule(SiteRule {
             site: "store.append".to_string(),
             kind: FaultKind::Error,
             every: 3,

@@ -1,8 +1,9 @@
 //! The reverse-mode backward pass.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
+use crate::kernels;
 use crate::ops::{Broadcast, Op};
 use crate::tensor::Tensor;
 
@@ -38,13 +39,35 @@ impl Tensor {
         let mut visited = HashSet::new();
         topo_visit(self, &mut visited, &mut order);
         self.accumulate_grad(&[1.0]);
+        let mut transposes = Transposes::default();
         for t in order.iter().rev() {
-            let grad = t.node.grad.borrow().clone();
+            // Borrowed, not cloned: `propagate` only writes the gradients
+            // of `t`'s inputs, never of `t` itself.
+            let grad = t.node.grad.borrow();
             if grad.is_empty() {
                 continue;
             }
-            propagate(t, &grad);
+            propagate(t, &grad, &mut transposes);
         }
+    }
+}
+
+/// Transposes of matmul right-hand operands, built once per
+/// [`Tensor::backward`] call. A weight shared by every sample of a batch
+/// feeds one `MatMul` node per sample; its `Bᵀ` is the same for all of
+/// them, because no tensor's data changes while a backward pass runs.
+/// The memo dies with the call, so an optimizer step or `set_data`
+/// between two passes is never served a stale transpose.
+#[derive(Default)]
+struct Transposes(HashMap<usize, Vec<f32>>);
+
+impl Transposes {
+    /// `bᵀ` for a `(k, n)` tensor `b`.
+    fn of(&mut self, b: &Tensor) -> &[f32] {
+        let (k, n) = b.shape();
+        self.0
+            .entry(Rc::as_ptr(&b.node) as usize)
+            .or_insert_with(|| kernels::transpose(&b.data(), k, n))
     }
 }
 
@@ -86,7 +109,7 @@ fn rhs_at(rhs: &[f32], i: usize, lhs_cols: usize, broadcast: Broadcast) -> f32 {
     }
 }
 
-fn propagate(t: &Tensor, grad: &[f32]) {
+fn propagate(t: &Tensor, grad: &[f32], transposes: &mut Transposes) {
     match &t.node.op {
         Op::Leaf => {}
         Op::Add(a, b, bc) => {
@@ -132,37 +155,15 @@ fn propagate(t: &Tensor, grad: &[f32]) {
             let (m, k) = a.shape();
             let n = b.cols();
             if a.requires_grad() {
-                // da = g @ b^T  -> (m, k)
-                let bd = b.data();
+                // da = g (m, n) @ bᵀ (n, k)
                 let mut da = vec![0.0f32; m * k];
-                for i in 0..m {
-                    for p in 0..k {
-                        let mut acc = 0.0;
-                        for j in 0..n {
-                            acc += grad[i * n + j] * bd[p * n + j];
-                        }
-                        da[i * k + p] = acc;
-                    }
-                }
-                drop(bd);
+                kernels::matmul(grad, transposes.of(b), &mut da, m, n, k);
                 a.accumulate_grad(&da);
             }
             if b.requires_grad() {
-                // db = a^T @ g -> (k, n)
-                let ad = a.data();
+                // db = aᵀ @ g -> (k, n)
                 let mut db = vec![0.0f32; k * n];
-                for p in 0..k {
-                    for i in 0..m {
-                        let av = ad[i * k + p];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        for j in 0..n {
-                            db[p * n + j] += av * grad[i * n + j];
-                        }
-                    }
-                }
-                drop(ad);
+                kernels::matmul_at(&a.data(), grad, &mut db, m, k, n);
                 b.accumulate_grad(&db);
             }
         }
@@ -322,8 +323,172 @@ fn propagate(t: &Tensor, grad: &[f32]) {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use nptsn_rand::rngs::StdRng;
+    use nptsn_rand::{Rng, SeedableRng};
+
+    use super::{propagate, topo_visit, Transposes};
     use crate::numeric_gradient;
+    use crate::ops::Op;
     use crate::tensor::Tensor;
+
+    /// The scalar reverse pass of `MatMul` the kernels replaced: `da` as a
+    /// dot product per element, `db` as a `p`/`i`/`j` loop skipping zero
+    /// entries of `a`. The bitwise reference for the kernel-backed pass.
+    fn reference_matmul_grads(a: &Tensor, b: &Tensor, grad: &[f32]) {
+        let (m, k) = a.shape();
+        let n = b.cols();
+        if a.requires_grad() {
+            let bd = b.data();
+            let mut da = vec![0.0f32; m * k];
+            for i in 0..m {
+                for p in 0..k {
+                    let mut acc = 0.0;
+                    for j in 0..n {
+                        acc += grad[i * n + j] * bd[p * n + j];
+                    }
+                    da[i * k + p] = acc;
+                }
+            }
+            drop(bd);
+            a.accumulate_grad(&da);
+        }
+        if b.requires_grad() {
+            let ad = a.data();
+            let mut db = vec![0.0f32; k * n];
+            for p in 0..k {
+                for i in 0..m {
+                    let av = ad[i * k + p];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n {
+                        db[p * n + j] += av * grad[i * n + j];
+                    }
+                }
+            }
+            drop(ad);
+            b.accumulate_grad(&db);
+        }
+    }
+
+    /// [`Tensor::backward`] with the reference `MatMul` gradients above and
+    /// the cloned (not borrowed) node gradient of the scalar pass.
+    fn reference_backward(loss: &Tensor) {
+        let mut order = Vec::new();
+        topo_visit(loss, &mut HashSet::new(), &mut order);
+        loss.accumulate_grad(&[1.0]);
+        let mut transposes = Transposes::default();
+        for t in order.iter().rev() {
+            let grad = t.node.grad.borrow().clone();
+            if grad.is_empty() {
+                continue;
+            }
+            match &t.node.op {
+                Op::MatMul(a, b) => reference_matmul_grads(a, b, &grad),
+                _ => propagate(t, &grad, &mut transposes),
+            }
+        }
+    }
+
+    fn bits(params: &[Tensor]) -> Vec<Vec<u32>> {
+        params
+            .iter()
+            .map(|p| p.grad().iter().map(|g| g.to_bits()).collect())
+            .collect()
+    }
+
+    /// Runs `passes` twice — once through [`reference_backward`], once
+    /// through [`Tensor::backward`] — on fresh copies of `params`, and
+    /// asserts every accumulated gradient is bitwise equal. `passes`
+    /// receives the parameters and the backward to call on each loss.
+    fn assert_matches_reference(
+        what: &str,
+        params: &[Tensor],
+        passes: impl Fn(&[Tensor], &dyn Fn(&Tensor)),
+    ) {
+        let fresh = || -> Vec<Tensor> {
+            params.iter().map(|p| Tensor::param(p.rows(), p.cols(), p.to_vec())).collect()
+        };
+        let reference = fresh();
+        passes(&reference, &reference_backward);
+        let kernel = fresh();
+        passes(&kernel, &|loss: &Tensor| loss.backward());
+        assert_eq!(bits(&kernel), bits(&reference), "{what}");
+    }
+
+    fn random_matrix(rng: &mut StdRng, len: usize, sparsity: f32) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                if rng.gen_range(0.0f32..1.0) < sparsity {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matmul_backward_matches_scalar_reference_on_random_shapes() {
+        let mut rng = StdRng::seed_from_u64(0xbac4_3a2d);
+        for case in 0..60 {
+            // Single-row lhs (the MLP's per-sample shape) every third case,
+            // inner widths straddling the KC=64 panel boundary, and zero
+            // densities up to all-zero operands.
+            let m = if case % 3 == 0 { 1 } else { rng.gen_range(1usize..24) };
+            let k = rng.gen_range(1usize..200);
+            let n = rng.gen_range(1usize..24);
+            let sparsity = [0.0f32, 0.5, 0.9, 1.0][case % 4];
+            let a = Tensor::param(m, k, random_matrix(&mut rng, m * k, sparsity));
+            let b = Tensor::param(k, n, random_matrix(&mut rng, k * n, sparsity));
+            // The upstream gradient `g` reaches the matmul as exactly these
+            // values through `mul(g).sum()`.
+            let g = Tensor::from_vec(m, n, random_matrix(&mut rng, m * n, sparsity / 2.0));
+            assert_matches_reference(
+                &format!("case {case}: ({m},{k})x({k},{n}), sparsity {sparsity}"),
+                &[a, b],
+                |p, backward| backward(&p[0].matmul(&p[1]).mul(&g).sum()),
+            );
+        }
+    }
+
+    #[test]
+    fn shared_weight_across_matmuls_matches_scalar_reference() {
+        // One weight feeds a matmul per sample (the PPO batch shape), then
+        // a second layer, and once more as the lhs of a product with
+        // itself: the memoised transpose serves every node that reads it.
+        let mut rng = StdRng::seed_from_u64(7);
+        let (k, n, samples) = (70, 12, 9);
+        let w = Tensor::param(k, n, random_matrix(&mut rng, k * n, 0.3));
+        let w2 = Tensor::param(n, k, random_matrix(&mut rng, n * k, 0.3));
+        let xs: Vec<Tensor> = (0..samples)
+            .map(|_| Tensor::from_vec(1, k, random_matrix(&mut rng, k, 0.4)))
+            .collect();
+        assert_matches_reference("shared weight", &[w, w2], |p, backward| {
+            let parts: Vec<Tensor> =
+                xs.iter().map(|x| x.matmul(&p[0]).tanh().matmul(&p[1])).collect();
+            let square = p[0].matmul(&p[1]).matmul(&p[0]).mean();
+            backward(&Tensor::concat_cols(&parts).square().mean().add(&square));
+        });
+    }
+
+    #[test]
+    fn backward_twice_with_set_data_between_matches_scalar_reference() {
+        // A transpose memoised in the first pass must not survive into the
+        // second, which runs on overwritten weights.
+        let mut rng = StdRng::seed_from_u64(11);
+        let (k, n) = (66, 5);
+        let w = Tensor::param(k, n, random_matrix(&mut rng, k * n, 0.2));
+        let x = Tensor::param(3, k, random_matrix(&mut rng, 3 * k, 0.2));
+        let replacement = random_matrix(&mut rng, k * n, 0.2);
+        assert_matches_reference("set_data between passes", &[w, x], |p, backward| {
+            backward(&p[1].matmul(&p[0]).square().mean());
+            p[0].set_data(&replacement);
+            backward(&p[1].matmul(&p[0]).square().mean());
+        });
+    }
 
     /// Checks the analytic gradient of `build` (a scalar function of a
     /// single parameter tensor) against central differences.

@@ -9,9 +9,10 @@
 //! still receives its partial products ascending in `p`, as separate
 //! multiply-then-add operations (rustc does not contract them into fused
 //! multiply-adds) — so results are bitwise identical to the naive
-//! reference loops they replace. The random-shape sweep in `ops.rs` pins
-//! that equivalence for the matmul; [`tests`] below pin the elementwise
-//! kernels and the scalar tails.
+//! reference loops they replace. The random-shape sweeps in `ops.rs` and
+//! `autograd.rs` pin that equivalence for the matmul forward and its
+//! gradients; [`tests`] below pin the elementwise kernels and the scalar
+//! tails.
 
 /// Lane width of the explicitly unrolled inner loops. Eight `f32` lanes
 /// fill one AVX2 register and two NEON registers; narrower hardware just
@@ -61,6 +62,40 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
             }
         }
     }
+}
+
+/// `out = aᵀ @ g` for `a (m, k)` and `g (m, n)`, overwriting `out`
+/// (`k * n`): the weight gradient of a matmul, without transposing `a`.
+///
+/// Row-outer: row `i` of `g` is scaled into output row `p` for every
+/// non-zero `a[i][p]`, so each output element still accumulates its
+/// partial products in ascending-`i` order and skips exactly the zero
+/// entries of `a` — bitwise identical to the textbook `p`/`i`/`j` loop.
+pub fn matmul_at(a: &[f32], g: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(g.len(), m * n);
+    debug_assert_eq!(out.len(), k * n);
+    out.fill(0.0);
+    for (arow, grow) in a.chunks_exact(k).zip(g.chunks_exact(n)) {
+        for (orow, &av) in out.chunks_exact_mut(n).zip(arow) {
+            if av == 0.0 {
+                continue;
+            }
+            axpy(orow, grow, av);
+        }
+    }
+}
+
+/// The `(n, k)` transpose of a row-major `(k, n)` matrix.
+pub fn transpose(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+    debug_assert_eq!(b.len(), k * n);
+    let mut out = vec![0.0f32; k * n];
+    for (p, row) in b.chunks_exact(n).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            out[j * k + p] = v;
+        }
+    }
+    out
 }
 
 /// `x[i] = max(x[i], 0)` in place.
@@ -173,6 +208,40 @@ mod tests {
                 }
             }
             assert_eq!(out, expect, "shape ({m},{k})x({k},{n})");
+        }
+    }
+
+    #[test]
+    fn matmul_at_matches_textbook_reference() {
+        for (m, k, n) in [(1, 1, 1), (3, 7, 5), (1, 64, 9), (130, 3, 2), (17, 65, 9)] {
+            let a = seeded(13, m * k);
+            let g = seeded(17, m * n);
+            let mut out = vec![f32::NAN; k * n];
+            matmul_at(&a, &g, &mut out, m, k, n);
+            let mut expect = vec![0.0f32; k * n];
+            for p in 0..k {
+                for i in 0..m {
+                    let av = a[i * k + p];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for j in 0..n {
+                        expect[p * n + j] += av * g[i * n + j];
+                    }
+                }
+            }
+            assert_eq!(out, expect, "shape ({m},{k})ᵀx({m},{n})");
+        }
+    }
+
+    #[test]
+    fn transpose_swaps_indices() {
+        let b = seeded(19, 3 * 5);
+        let t = transpose(&b, 3, 5);
+        for p in 0..3 {
+            for j in 0..5 {
+                assert_eq!(t[j * 3 + p].to_bits(), b[p * 5 + j].to_bits());
+            }
         }
     }
 

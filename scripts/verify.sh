@@ -53,8 +53,9 @@ echo "chaos smoke: deterministic storm + live recovery counters confirmed"
 
 # Trace smoke test: a tiny RL plan run with --trace-out must produce a
 # Perfetto-loadable trace containing the planner/analyzer span taxonomy
-# (trace_check validates the JSON with the in-tree parser) and a profile
-# table on stdout.
+# and the PPO update's (update, backward, GCN forward, Adam step), so the
+# spans the training ledger reads stay gated (trace_check validates the
+# JSON with the in-tree parser), and a profile table on stdout.
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
 cat > "$trace_dir/smoke.tssdn" <<'EOF'
@@ -77,7 +78,8 @@ cargo build --release --offline -p nptsn-bench --bin trace_check
     --epochs 1 --steps 32 --seed 1 \
     --trace-out "$trace_dir/trace.json" --profile > "$trace_dir/plan.out"
 ./target/release/trace_check "$trace_dir/trace.json" \
-    planner.run planner.epoch planner.rollout analyzer.analyze soag.generate
+    planner.run planner.epoch planner.rollout analyzer.analyze soag.generate \
+    ppo.update ppo.backward gcn.forward adam.step
 grep -q "planner.epoch" "$trace_dir/plan.out" \
     || { echo "trace smoke: no profile table on stdout" >&2; exit 1; }
 rm -rf "$trace_dir"
