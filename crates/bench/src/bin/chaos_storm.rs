@@ -59,6 +59,7 @@ use std::time::{Duration, Instant};
 
 use nptsn::{Planner, PlannerConfig, PlanningProblem};
 use nptsn_bench::fleet::{maybe_run_shard_child, spawn_named_shard, spawn_shard};
+use nptsn_bench::{json_u64, percentile};
 use nptsn_chaos::{FaultKind, FaultPlan, SiteRule};
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_rand::rngs::StdRng;
@@ -124,17 +125,6 @@ fn determinism_run(seed: u64) -> String {
     digest
 }
 
-fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
-}
-
 /// Submits `jobs` burn jobs and polls each to a terminal state; returns
 /// (jobs per second, per-submission accept latencies). Panics on a job
 /// that never terminates — backed up by the process watchdog.
@@ -167,13 +157,6 @@ fn drive_jobs(client: &mut Client, jobs: usize) -> (f64, Vec<Duration>) {
     }
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
     (ids.len() as f64 / elapsed, accept_latencies)
-}
-
-fn percentile_ms(mut samples: Vec<Duration>, pct: usize) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_unstable();
-    let index = (samples.len() - 1) * pct / 100;
-    samples[index].as_secs_f64() * 1_000.0
 }
 
 /// What one kill-and-restart storm produced: a per-job outcome digest
@@ -659,10 +642,11 @@ fn main() {
         seed,
         ..BackoffConfig::default()
     });
-    let (clean_jobs_per_s, clean_latencies) = drive_jobs(&mut clean_client, jobs);
+    let (clean_jobs_per_s, mut clean_latencies) = drive_jobs(&mut clean_client, jobs);
     clean_server.stop();
     clean_server.wait();
-    let clean_p50_ms = percentile_ms(clean_latencies, 50);
+    clean_latencies.sort_unstable();
+    let clean_p50_ms = percentile(&clean_latencies, 50.0).as_secs_f64() * 1_000.0;
 
     // --- Phase 2b: the storm -------------------------------------------
     let storm_server = Server::bind(serve_config).expect("bind storm server");
@@ -681,8 +665,9 @@ fn main() {
         seed: seed ^ 1,
         ..BackoffConfig::default()
     });
-    let (storm_jobs_per_s, storm_latencies) = drive_jobs(&mut storm_client, jobs);
-    let p99_recovery_ms = percentile_ms(storm_latencies, 99);
+    let (storm_jobs_per_s, mut storm_latencies) = drive_jobs(&mut storm_client, jobs);
+    storm_latencies.sort_unstable();
+    let p99_recovery_ms = percentile(&storm_latencies, 99.0).as_secs_f64() * 1_000.0;
 
     let faults_injected: u64 = nptsn_chaos::injection_counts().iter().map(|(_, n)| n).sum();
     nptsn_chaos::disarm();

@@ -35,7 +35,7 @@ use nptsn::{
     plan_with_policy_batch, InferLane, Observation, Planner, PlannerConfig, PlanningEnv,
     PlanningProblem, Solution,
 };
-use nptsn_bench::problem_for;
+use nptsn_bench::{percentile, problem_for};
 use nptsn_nn::{params_from_bytes, params_to_bytes, Module};
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::SeedableRng;
@@ -43,15 +43,6 @@ use nptsn_rl::{sample_action, ActorCritic};
 use nptsn_scenarios::{orion, random_flows};
 use nptsn_sched::{FlowSet, FlowSpec, ShortestPathRecovery, TasConfig};
 use nptsn_topo::{ComponentLibrary, ConnectionGraph};
-
-/// The `q`-quantile of a sorted sample set, in nanoseconds.
-fn percentile_ns(sorted: &[Duration], q: f64) -> u128 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1].as_nanos()
-}
 
 /// A zonal-controller-scale problem: two end stations, two candidate
 /// switches, the theta graph — the per-vehicle problem size the service's
@@ -176,8 +167,8 @@ fn main() {
         }
         let elapsed = wall.elapsed();
         durations.sort();
-        let p50 = percentile_ns(&durations, 0.50);
-        let p99 = percentile_ns(&durations, 0.99);
+        let p50 = percentile(&durations, 50.0).as_nanos();
+        let p99 = percentile(&durations, 99.0).as_nanos();
         let qps = (batch * calls) as f64 / elapsed.as_secs_f64().max(1e-9);
         println!(
             "infer_bench: job path batch {batch:>2}  p50 {:?}  p99 {:?}  {qps:.0} jobs/s",
@@ -278,8 +269,8 @@ fn main() {
         }
         let elapsed = wall.elapsed();
         durations.sort();
-        let p50 = percentile_ns(&durations, 0.50);
-        let p99 = percentile_ns(&durations, 0.99);
+        let p50 = percentile(&durations, 50.0).as_nanos();
+        let p99 = percentile(&durations, 99.0).as_nanos();
         let qps = (batch * calls) as f64 / elapsed.as_secs_f64().max(1e-9);
         println!(
             "infer_bench: forward batch {batch:>2}  p50 {:?}  p99 {:?}  {qps:.0} forwards/s",

@@ -29,26 +29,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use nptsn_bench::fleet::{maybe_run_shard_child, spawn_named_shard, ShardProc};
+use nptsn_bench::{json_u64, percentile};
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::{BackoffConfig, Client};
-
-fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
-}
-
-fn percentile_ms(samples: &[f64], pct: usize) -> f64 {
-    assert!(!samples.is_empty());
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    sorted[(sorted.len() - 1) * pct / 100]
-}
 
 /// One freshly spawned two-shard fleet behind an in-process router.
 struct Fleet {
@@ -240,10 +223,12 @@ fn main() {
             rf1[round], rf2[round]
         );
     }
-    let rf1_p50 = percentile_ms(&rf1, 50);
-    let rf1_p99 = percentile_ms(&rf1, 99);
-    let rf2_p50 = percentile_ms(&rf2, 50);
-    let rf2_p99 = percentile_ms(&rf2, 99);
+    rf1.sort_by(f64::total_cmp);
+    rf2.sort_by(f64::total_cmp);
+    let rf1_p50 = percentile(&rf1, 50.0);
+    let rf1_p99 = percentile(&rf1, 99.0);
+    let rf2_p50 = percentile(&rf2, 50.0);
+    let rf2_p99 = percentile(&rf2, 99.0);
     println!(
         "membership_bench: kill-to-served p50/p99 — replay (RF1) {rf1_p50:.1}/{rf1_p99:.1} ms, \
          promotion (RF2) {rf2_p50:.1}/{rf2_p99:.1} ms"

@@ -15,19 +15,9 @@
 use std::time::{Duration, Instant};
 
 use nptsn_bench::fleet::{maybe_run_shard_child, spawn_named_shard};
+use nptsn_bench::json_u64;
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::{BackoffConfig, Client};
-
-fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
-}
 
 /// Reads one counter out of a Prometheus text exposition.
 fn metric(text: &str, name: &str) -> u64 {

@@ -31,7 +31,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use nptsn::{FailureAnalyzer, PlanningProblem};
-use nptsn_bench::problem_for;
+use nptsn_bench::{json_u64, problem_for};
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_scenarios::{orion, random_flows};
 use nptsn_serve::client::Client;
@@ -79,14 +79,7 @@ fn routed_round(client: &mut Client, jobs: usize) {
         .map(|_| {
             let accepted = client.post("/jobs/burn?millis=0", &[]).expect("routed submit");
             assert_eq!(accepted.status, 202, "{}", accepted.text());
-            let body = accepted.text();
-            let start = body.find("\"id\":").expect("id field") + 5;
-            body[start..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .unwrap()
+            json_u64(&accepted.text(), "id")
         })
         .collect();
     for id in ids {

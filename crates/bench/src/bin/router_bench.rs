@@ -29,6 +29,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use nptsn_bench::fleet::{maybe_run_shard_child, spawn_shard, ShardProc};
+use nptsn_bench::{json_u64, percentile};
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::{BackoffConfig, Client};
 
@@ -36,17 +37,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nptsn-router-bench-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
 }
 
 fn retrying(addr: SocketAddr, seed: u64) -> Client {
@@ -196,14 +186,6 @@ fn failover_round(round: usize, jobs: usize) -> Duration {
     first_replayed
 }
 
-fn percentile_ms(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1].as_secs_f64() * 1_000.0
-}
-
 fn main() {
     maybe_run_shard_child();
     let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
@@ -243,8 +225,8 @@ fn main() {
     let mut latencies: Vec<Duration> =
         (0..rounds).map(|round| failover_round(round, round_jobs)).collect();
     latencies.sort();
-    let p50 = percentile_ms(&latencies, 0.50);
-    let p99 = percentile_ms(&latencies, 0.99);
+    let p50 = percentile(&latencies, 50.0).as_secs_f64() * 1_000.0;
+    let p99 = percentile(&latencies, 99.0).as_secs_f64() * 1_000.0;
     println!(
         "router_bench: failover→first-replayed-job p50 {p50:.0}ms p99 {p99:.0}ms ({rounds} rounds, zero acked loss)"
     );

@@ -20,27 +20,9 @@
 
 use std::time::{Duration, Instant};
 
+use nptsn_bench::{json_u64, percentile};
 use nptsn_serve::{Client, ServeConfig, Server};
 
-/// The `q`-quantile of a sorted sample set, in nanoseconds.
-fn percentile_ns(sorted: &[Duration], q: f64) -> u128 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1].as_nanos()
-}
-
-fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
-}
 
 fn main() {
     let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
@@ -76,8 +58,8 @@ fn main() {
         assert_eq!(r.status, 200);
     }
     samples.sort();
-    let poll_p50 = percentile_ns(&samples, 0.50);
-    let poll_p99 = percentile_ns(&samples, 0.99);
+    let poll_p50 = percentile(&samples, 50.0).as_nanos();
+    let poll_p99 = percentile(&samples, 99.0).as_nanos();
     println!(
         "serve_bench: status poll p50 {:?}  p99 {:?}  ({polls} polls)",
         Duration::from_nanos(poll_p50 as u64),

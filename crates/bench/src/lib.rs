@@ -14,6 +14,12 @@
 //!   action space and a reliability-goal sweep activating higher failure
 //!   orders.
 //!
+//! The service benchmarks (`serve_bench`, `router_bench`, …) and the smoke
+//! binaries `scripts/verify.sh` drives against real processes
+//! (`serve_smoke`, `store_smoke`, `infer_smoke`, `readyz_wait`,
+//! `router_smoke`, `trace_smoke`, `membership_smoke`) live here too and
+//! share [`json_u64`] and [`percentile`].
+//!
 //! Every run prints CSV-ish rows so curves can be plotted or diffed
 //! against EXPERIMENTS.md. Budgets are scaled down from Table II by
 //! default and adjustable from the command line.
@@ -29,6 +35,33 @@ use nptsn_baselines::{evaluate_original, NeuroPlanAgent, Trh};
 use nptsn_scenarios::Scenario;
 use nptsn_sched::{FlowSet, ShortestPathRecovery};
 use nptsn_topo::ComponentLibrary;
+
+/// Reads the integer field `key` of a service's JSON answer.
+///
+/// # Panics
+///
+/// Panics, quoting the body, when the body is not JSON or the field is
+/// missing or not an exact integer — a harness binary treats a malformed
+/// answer as a failed run.
+pub fn json_u64(body: &str, key: &str) -> u64 {
+    nptsn_obs::json::parse(body)
+        .ok()
+        .and_then(|doc| doc.get(key).and_then(nptsn_obs::json::Value::as_u64))
+        .unwrap_or_else(|| panic!("no integer {key} in {body}"))
+}
+
+/// Nearest-rank percentile `p` (in percent) of ascending `sorted` samples.
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> T {
+    assert!(!sorted.is_empty(), "percentile of no samples");
+    // The epsilon keeps float error (0.99 * 100 is not exactly 99) from
+    // rounding an exact rank up.
+    let rank = ((p / 100.0 * sorted.len() as f64 - 1e-9).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
 
 /// The planning approaches compared in Fig. 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,6 +268,29 @@ mod tests {
         if trh.reliable {
             assert!(trh.cost.unwrap() > 0.0);
         }
+    }
+
+    #[test]
+    fn nearest_rank_percentiles() {
+        let hundred: Vec<u32> = (1..=100).collect();
+        assert_eq!(percentile(&hundred, 50.0), 50);
+        assert_eq!(percentile(&hundred, 99.0), 99);
+        assert_eq!(percentile(&hundred, 100.0), 100);
+        assert_eq!(percentile(&hundred, 0.0), 1);
+        // Never below the floor index (n - 1) * p / 100: p99 of four
+        // samples is the 4th, where the floor index picks the 3rd.
+        let four = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&four, 99.0), 4.0);
+        assert_eq!(percentile(&four, 50.0), 2.0);
+        assert_eq!(percentile(&[7u8], 99.0), 7);
+    }
+
+    #[test]
+    fn reads_top_level_integer_fields() {
+        assert_eq!(json_u64(r#"{"id":41,"state":"submitted"}"#, "id"), 41);
+        assert_eq!(json_u64(r#"{"shards":[{"id":1}],"id":2}"#, "id"), 2);
+        let missing = std::panic::catch_unwind(|| json_u64(r#"{"state":"x"}"#, "id"));
+        assert!(missing.is_err());
     }
 
     #[test]

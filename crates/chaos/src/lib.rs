@@ -22,8 +22,9 @@
 //! `store.*`, and the sharded front tier `router.forward` (a forward
 //! dropped before any bytes leave — a clean un-acked failure),
 //! `router.health` (a spuriously failed probe, absorbed by the
-//! consecutive-failure threshold) and `router.replay` (a transient
-//! replay-ingest failure, retried per record).
+//! consecutive-failure threshold), `router.replay` (a transient
+//! replay-ingest failure, retried per record) and the shared HTTP
+//! connection loop's `router.accept` / `router.conn.write`.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -33,6 +33,7 @@ use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::Path;
 
+use nptsn_store::crc32;
 use nptsn_tensor::Tensor;
 
 /// Magic prefix of the checkpoint format, excluding the version digit.
@@ -41,20 +42,6 @@ const MAGIC_PREFIX: &[u8; 7] = b"NPTSNCK";
 /// Current format version (an ASCII digit, making the full magic
 /// `NPTSNCK2`).
 const VERSION: u8 = b'2';
-
-/// IEEE CRC-32 (the Ethernet/zlib polynomial, reflected), bitwise — the
-/// checkpoint path is not hot enough to justify a table.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Errors from [`params_from_bytes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -407,13 +394,6 @@ mod tests {
     /// + test name keep parallel test runs apart).
     fn temp_path(test: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("nptsn-ck-{}-{test}.bin", std::process::id()))
-    }
-
-    #[test]
-    fn crc32_reference_vector() {
-        // The canonical IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

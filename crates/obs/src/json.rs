@@ -57,6 +57,17 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The value as an unsigned integer, if this is an integral number in
+    /// `0..=2^53` — the range where every integer has an exact `f64`, so
+    /// the digits on the wire are the number returned.
+    pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
+        match self {
+            Value::Num(n) if n.fract() == 0.0 && (0.0..=EXACT).contains(n) => Some(*n as u64),
+            _ => None,
+        }
+    }
 }
 
 /// A parse failure with a byte offset into the input.
@@ -331,6 +342,23 @@ mod tests {
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[0].as_num(), Some(1.0));
         assert_eq!(arr[2].get("b"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn as_u64_reads_exact_integers_only() {
+        let n = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(n("0"), Some(0));
+        assert_eq!(n("41"), Some(41));
+        assert_eq!(n("9007199254740992"), Some(1 << 53));
+        // Past 2^53 neighbouring integers share an f64, so a read there
+        // could name the wrong id: refused. (2^53 + 1 itself parses to
+        // 2^53; writers that need exact reads keep their values at or
+        // below 2^53, as the shard's explicit-id gate does.)
+        assert_eq!(n("9007199254740994"), None);
+        assert_eq!(n("18446744073709551615"), None);
+        assert_eq!(n("-1"), None);
+        assert_eq!(n("1.5"), None);
+        assert_eq!(n("\"7\""), None);
     }
 
     #[test]

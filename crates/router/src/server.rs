@@ -48,19 +48,20 @@
 //! ring flip, with the dead-log replay demoted to a background safety net.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nptsn_format::json::Object;
+use nptsn_obs::json::Value;
 use nptsn_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use nptsn_obs::{MergedSpan, ProcessTrace, TraceContext};
 use nptsn_serve::client::{BackoffConfig, Client, ClientResponse};
-use nptsn_serve::http::{read_request_deadline, HttpError, Request, Response};
+use nptsn_serve::http::{serve_connections, HttpMetrics, Limits, Request, Response, ShutdownLatch};
 use nptsn_store::{ExportCursor, LogStore};
 
 use crate::replay;
@@ -138,9 +139,9 @@ impl Default for RouterConfig {
 #[derive(Debug)]
 pub struct RouterMetrics {
     /// The router's own registry; render it for `/metrics`.
-    pub registry: Registry,
-    /// Requests received by the router (`nptsn_router_http_requests_total`).
-    pub http_requests: Arc<Counter>,
+    pub registry: Arc<Registry>,
+    /// The connection loop's request series (`nptsn_router_http_*`).
+    pub http: HttpMetrics,
     /// Forwards that failed after retries (`nptsn_router_forward_errors_total`).
     pub forward_errors: Arc<Counter>,
     /// Submissions re-tried under a fresh id after a `409` id collision
@@ -166,9 +167,8 @@ pub struct RouterMetrics {
 impl RouterMetrics {
     /// Registers the router metric set on a fresh registry.
     pub fn new() -> RouterMetrics {
-        let registry = Registry::new();
-        let http_requests =
-            registry.counter("nptsn_router_http_requests_total", "Requests received by the router");
+        let registry = Arc::new(Registry::new());
+        let http = HttpMetrics::register(&registry, "nptsn_router");
         let forward_errors = registry
             .counter("nptsn_router_forward_errors_total", "Forwards that failed after retries");
         let submit_conflicts = registry.counter(
@@ -197,7 +197,7 @@ impl RouterMetrics {
         );
         RouterMetrics {
             registry,
-            http_requests,
+            http,
             forward_errors,
             submit_conflicts,
             live_shards,
@@ -216,16 +216,6 @@ impl RouterMetrics {
         let mut text = self.registry.render();
         text.push_str(&nptsn_obs::telemetry().registry.render());
         text
-    }
-
-    /// The per-status-code response counter
-    /// (`nptsn_router_http_responses_total`).
-    pub fn response_counter(&self, code: u16) -> Arc<Counter> {
-        self.registry.counter_labeled(
-            "nptsn_router_http_responses_total",
-            &format!("code=\"{code}\""),
-            "Router responses by status code",
-        )
     }
 }
 
@@ -354,11 +344,9 @@ impl Shard {
     }
 }
 
-/// State shared between the acceptor, connection handlers and the health
-/// thread.
+/// State shared between the connection handlers and the health thread.
 pub(crate) struct Shared {
     pub(crate) config: RouterConfig,
-    pub(crate) local_addr: SocketAddr,
     /// The shard set. Grows on scale-out joins; never shrinks (a dead
     /// shard keeps its slot so it can rejoin). Read-mostly.
     pub(crate) shards: RwLock<Vec<Arc<Shard>>>,
@@ -380,24 +368,11 @@ pub(crate) struct Shared {
     /// Serializes membership transitions (death, rejoin, scale-out join)
     /// so two ring swaps can never interleave.
     pub(crate) membership: Mutex<()>,
-    pub(crate) shutdown: AtomicBool,
+    pub(crate) latch: Arc<ShutdownLatch>,
     pub(crate) metrics: Arc<RouterMetrics>,
-    done: Mutex<bool>,
-    done_cv: Condvar,
 }
 
 impl Shared {
-    fn begin_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the acceptor so it observes the flag.
-        let _ = TcpStream::connect(self.local_addr);
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        self.done_cv.notify_all();
-    }
-
     pub(crate) fn current_ring(&self) -> Arc<Ring> {
         Arc::clone(&self.ring.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -465,6 +440,7 @@ impl Shared {
 /// The running router: a TCP acceptor plus the health/failover thread.
 pub struct Router {
     shared: Arc<Shared>,
+    local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     health: Option<JoinHandle<()>>,
 }
@@ -507,7 +483,6 @@ impl Router {
         metrics.ring_generation.set(1);
         let shared = Arc::new(Shared {
             config,
-            local_addr,
             shards: RwLock::new(shards),
             ring: Mutex::new(ring),
             ring_generation: AtomicU64::new(1),
@@ -515,10 +490,8 @@ impl Router {
             replaying: AtomicBool::new(false),
             migrating: AtomicU64::new(0),
             membership: Mutex::new(()),
-            shutdown: AtomicBool::new(false),
+            latch: Arc::new(ShutdownLatch::new(local_addr, || {})),
             metrics,
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
         });
 
         // Seed the watermark before taking traffic so the first assigned
@@ -532,13 +505,26 @@ impl Router {
             }
         }
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("nptsn-router-acceptor".to_string())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn acceptor thread")
-        };
+        let acceptor = serve_connections(
+            "router",
+            listener,
+            Limits {
+                max_body_bytes: shared.config.max_body_bytes,
+                io_timeout_ms: shared.config.io_timeout_ms,
+                header_deadline_ms: shared.config.header_deadline_ms,
+            },
+            shared.metrics.http.clone(),
+            Arc::clone(&shared.latch),
+            {
+                let shared = Arc::clone(&shared);
+                // No trace is adopted here: the router mints each job's
+                // trace and strips incoming ones (see `forward_headers`).
+                move |request| {
+                    let _span = nptsn_obs::span("router.request");
+                    route(&shared, request)
+                }
+            },
+        );
         let health = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -546,12 +532,12 @@ impl Router {
                 .spawn(move || health_loop(&shared))
                 .expect("spawn health thread")
         };
-        Ok(Router { shared, acceptor: Some(acceptor), health: Some(health) })
+        Ok(Router { shared, local_addr, acceptor: Some(acceptor), health: Some(health) })
     }
 
     /// The bound address (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.local_addr
     }
 
     /// The router metrics (for embedding / tests).
@@ -578,18 +564,13 @@ impl Router {
     /// Initiates shutdown, as `POST /shutdown` would. Shards are not
     /// touched — the router is a front tier, not a supervisor.
     pub fn stop(&self) {
-        self.shared.begin_shutdown();
+        self.shared.latch.begin_shutdown();
     }
 
     /// Blocks until shutdown is requested, then joins the acceptor and
     /// health threads.
     pub fn wait(mut self) {
-        {
-            let mut done = self.shared.done.lock().unwrap_or_else(|e| e.into_inner());
-            while !*done {
-                done = self.shared.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
-            }
-        }
+        self.shared.latch.wait();
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -610,30 +591,13 @@ pub fn trace_for_job(id: u64) -> TraceContext {
     TraceContext::from_seed(key_hash(id) ^ 0x4e70_7473_6e54_7263)
 }
 
-/// Extracts `"key":<u64>` from a flat JSON body — enough to read the
-/// `/readyz` watermark without a parser.
-fn json_u64(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let digits: String =
-        text[start..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-/// Extracts `"key":"<string>"` from a flat JSON body.
-fn json_str<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let needle = format!("\"{key}\":\"");
-    let start = text.find(&needle)? + needle.len();
-    text[start..].split('"').next()
-}
-
 /// One `/readyz` probe: returns whether the shard answered `200`, and
 /// folds its id watermark into the router's.
 fn probe_shard(shared: &Arc<Shared>, shard: &Arc<Shard>) -> bool {
     let mut client = Client::new(shard.addr());
     match client.get("/readyz") {
         Ok(response) if response.status == 200 => {
-            if let Some(next_id) = json_u64(&response.text(), "next_id") {
+            if let Some(next_id) = response.json().get("next_id").and_then(Value::as_u64) {
                 shared.next_id.fetch_max(next_id, Ordering::SeqCst);
             }
             true
@@ -654,13 +618,13 @@ fn handshake(shared: &Arc<Shared>, shard: &Arc<Shard>) -> bool {
     if response.status != 200 {
         return false;
     }
-    let text = response.text();
-    if let Some(reported) = json_str(&text, "shard") {
+    let doc = response.json();
+    if let Some(reported) = doc.get("shard").and_then(Value::as_str) {
         if reported != shard.name {
             return false;
         }
     }
-    if let Some(next_id) = json_u64(&text, "next_id") {
+    if let Some(next_id) = doc.get("next_id").and_then(Value::as_u64) {
         shared.next_id.fetch_max(next_id, Ordering::SeqCst);
     }
     true
@@ -674,9 +638,9 @@ fn handshake(shared: &Arc<Shared>, shard: &Arc<Shard>) -> bool {
 fn health_loop(shared: &Arc<Shared>) {
     let interval = Duration::from_millis(shared.config.health_interval_ms.max(2));
     let threshold = shared.config.health_failures.max(1);
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.latch.is_shutting_down() {
         for shard in shared.shards_snapshot() {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.latch.is_shutting_down() {
                 return;
             }
             match shard.state() {
@@ -715,7 +679,7 @@ fn health_loop(shared: &Arc<Shared>) {
         // budgets) sleeps in one piece.
         let step = interval.min(Duration::from_millis(5));
         let deadline = Instant::now() + interval;
-        while Instant::now() < deadline && !shared.shutdown.load(Ordering::SeqCst) {
+        while Instant::now() < deadline && !shared.latch.is_shutting_down() {
             std::thread::sleep(step);
         }
     }
@@ -811,7 +775,8 @@ fn promote_replicas(shared: &Arc<Shared>, dead: &str) -> u64 {
         let mut client = shared.forward_client(shard.addr(), key_hash(promoted) ^ 0x50726f6d);
         match client.post(&format!("/internal/promote?for={}", url_encode(dead)), &[]) {
             Ok(response) if response.status == 200 => {
-                let count = json_u64(&response.text(), "promoted").unwrap_or(0);
+                let count =
+                    response.json().get("promoted").and_then(Value::as_u64).unwrap_or(0);
                 promoted += count;
             }
             _ => {
@@ -896,7 +861,7 @@ fn drain_to(shared: &Arc<Shared>, target: &Arc<Shard>) -> u64 {
     let mut cursors: HashMap<String, ExportCursor> = HashMap::new();
     let mut moved_total = 0u64;
     for _pass in 0..5 {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.latch.is_shutting_down() {
             break;
         }
         let ring = shared.current_ring();
@@ -922,85 +887,6 @@ fn drain_to(shared: &Arc<Shared>, target: &Arc<Shard>) -> u64 {
     moved_total
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let _ = std::thread::Builder::new()
-            .name("nptsn-router-conn".to_string())
-            .spawn(move || handle_connection(&shared, stream));
-    }
-}
-
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let io_timeout = (shared.config.io_timeout_ms > 0)
-        .then(|| Duration::from_millis(shared.config.io_timeout_ms));
-    if stream.set_read_timeout(io_timeout).is_err() || stream.set_write_timeout(io_timeout).is_err()
-    {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let started = Instant::now();
-        let header_deadline = (shared.config.header_deadline_ms > 0)
-            .then(|| started + Duration::from_millis(shared.config.header_deadline_ms));
-        let mut is_shutdown = false;
-        let response = match read_request_deadline(
-            &mut reader,
-            shared.config.max_body_bytes,
-            header_deadline,
-        ) {
-            Ok(request) => {
-                let _span = nptsn_obs::span("router.request");
-                shared.metrics.http_requests.inc();
-                is_shutdown = request.method == "POST" && request.path == "/shutdown";
-                let mut response = route(shared, &request);
-                response.close = response.close
-                    || request.wants_close()
-                    || shared.shutdown.load(Ordering::SeqCst);
-                response
-            }
-            Err(HttpError::Closed) => return,
-            Err(HttpError::BadRequest(message)) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(400, &message);
-                r.close = true;
-                r
-            }
-            Err(HttpError::PayloadTooLarge { declared, limit }) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(
-                    413,
-                    &format!("body of {declared} bytes exceeds the {limit}-byte limit"),
-                );
-                r.close = true;
-                r
-            }
-            Err(HttpError::Timeout { mid_request: false }) => return,
-            Err(HttpError::Timeout { mid_request: true }) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(408, "request timed out");
-                r.close = true;
-                r
-            }
-            Err(HttpError::Io(_)) => return,
-        };
-        shared.metrics.response_counter(response.status).inc();
-        let write_ok = response.write_to(&mut writer).is_ok();
-        if is_shutdown {
-            shared.begin_shutdown();
-        }
-        if !write_ok || response.close {
-            return;
-        }
-    }
-}
-
 /// A `503` with the configured `Retry-After` hint.
 fn unavailable(shared: &Arc<Shared>, message: &str) -> Response {
     Response::error(503, message)
@@ -1014,7 +900,7 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
     match (method, path) {
         ("GET", "/healthz") => healthz(shared),
         ("GET", "/readyz") => {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.latch.is_shutting_down() {
                 return unavailable(shared, "router is shutting down");
             }
             if shared.live_count() == 0 {
@@ -1606,13 +1492,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_u64_reads_flat_bodies() {
-        assert_eq!(json_u64("{\"a\":3,\"next_id\":41}", "next_id"), Some(41));
-        assert_eq!(json_u64("{\"next_id\":\"x\"}", "next_id"), None);
-        assert_eq!(json_u64("{}", "next_id"), None);
-    }
-
-    #[test]
     fn forward_targets_round_trip_the_query() {
         let request = Request {
             method: "POST".to_string(),
@@ -1662,13 +1541,6 @@ mod tests {
             .iter()
             .any(|(name, value)| *name == "X-Nptsn-Replica" && *value == "127.0.0.1:9999"));
         assert!(!headers.iter().any(|(_, value)| value == "10.0.0.1:1"));
-    }
-
-    #[test]
-    fn json_str_reads_flat_bodies() {
-        assert_eq!(json_str("{\"shard\":\"s1\",\"x\":2}", "shard"), Some("s1"));
-        assert_eq!(json_str("{\"shard\":\"\"}", "shard"), Some(""));
-        assert_eq!(json_str("{}", "shard"), None);
     }
 
     #[test]

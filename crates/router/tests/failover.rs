@@ -10,6 +10,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use nptsn_obs::json::Value;
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::Client;
 use nptsn_serve::jobs::{JobOutcome, JobState};
@@ -57,16 +58,6 @@ fn poll<T>(secs: u64, what: &str, mut f: impl FnMut() -> Option<T>) -> T {
     }
 }
 
-fn json_id(body: &str) -> u64 {
-    let start = body.find("\"id\":").expect("id field") + 5;
-    body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
 #[test]
 fn a_lost_shard_replays_onto_the_survivor_byte_identically() {
     let a_dir = temp_dir("lost-a");
@@ -83,7 +74,7 @@ fn a_lost_shard_replays_onto_the_survivor_byte_identically() {
         .map(|_| {
             let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
             assert_eq!(accepted.status, 202, "{}", accepted.text());
-            json_id(&accepted.text())
+            accepted.json().get("id").and_then(Value::as_u64).expect("id")
         })
         .collect();
     // The sample must actually exercise both shards or the test is
@@ -210,7 +201,7 @@ fn a_prebuilt_dead_log_replays_through_the_validation_gate() {
     assert!(router.next_id_watermark() >= 9);
     let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.text());
-    assert!(json_id(&accepted.text()) >= 10);
+    assert!(accepted.json().get("id").and_then(Value::as_u64).expect("id") >= 10);
 
     router.stop();
     live.stop();

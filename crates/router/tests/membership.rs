@@ -6,6 +6,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use nptsn_obs::json::Value;
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::Client;
 use nptsn_serve::{ServeConfig, Server};
@@ -51,22 +52,12 @@ fn poll<T>(secs: u64, what: &str, mut f: impl FnMut() -> Option<T>) -> T {
     }
 }
 
-fn json_id(body: &str) -> u64 {
-    let start = body.find("\"id\":").expect("id field") + 5;
-    body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
 fn submit_burns(client: &mut Client, n: usize) -> Vec<u64> {
     (0..n)
         .map(|_| {
             let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
             assert_eq!(accepted.status, 202, "{}", accepted.text());
-            json_id(&accepted.text())
+            accepted.json().get("id").and_then(Value::as_u64).expect("id")
         })
         .collect()
 }
@@ -288,4 +279,43 @@ fn replication_promotes_passive_copies_when_the_primary_dies() {
     router.stop();
     b.stop();
     b.wait();
+}
+
+/// A shard name carrying JSON metacharacters passes the admission
+/// handshake: the shard's `/readyz` escapes the name and the router reads
+/// it back with a JSON parser, so `"` and `\` cannot break the match.
+#[test]
+fn a_shard_named_with_quotes_and_backslashes_joins() {
+    let name = r#"s"1\b"#;
+    let a_dir = temp_dir("quoted-a");
+    let a = shard(&a_dir, "s0");
+    let router = fleet_router(
+        vec![ShardSpec {
+            name: "s0".to_string(),
+            addr: a.local_addr(),
+            data_dir: Some(a_dir.clone()),
+        }],
+        1,
+    );
+    let mut client = Client::new(router.local_addr());
+
+    let b_dir = temp_dir("quoted-b");
+    let b = shard(&b_dir, name);
+    let mut announce = nptsn_format::json::Object::new();
+    announce.str("name", name);
+    announce.str("addr", &b.local_addr().to_string());
+    let joined = client.post("/admin/shards", announce.finish().as_bytes()).unwrap();
+    assert_eq!(joined.status, 200, "{}", joined.text());
+    assert_eq!(joined.json().get("status").and_then(Value::as_str), Some("joined"));
+    assert_eq!(joined.json().get("shard").and_then(Value::as_str), Some(name));
+    assert_eq!(router.ring().len(), 2, "the newcomer is not on the ring");
+
+    router.stop();
+    router.wait();
+    a.stop();
+    a.wait();
+    b.stop();
+    b.wait();
+    let _ = fs::remove_dir_all(&a_dir);
+    let _ = fs::remove_dir_all(&b_dir);
 }

@@ -52,16 +52,6 @@ fn poll<T>(secs: u64, what: &str, mut f: impl FnMut() -> Option<T>) -> T {
     }
 }
 
-fn json_id(body: &str) -> u64 {
-    let start = body.find("\"id\":").expect("id field") + 5;
-    body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
 /// The `pid → process name` pairs from a merged trace's metadata events.
 fn process_names(doc: &Value) -> Vec<(f64, String)> {
     doc.get("traceEvents")
@@ -122,7 +112,7 @@ fn a_routed_job_s_spans_share_the_router_minted_trace_id() {
 
     let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.text());
-    let id = json_id(&accepted.text());
+    let id = accepted.json().get("id").and_then(Value::as_u64).expect("id");
     poll(10, "the job to finish", || {
         let status = client.get(&format!("/jobs/{id}")).ok()?;
         status.text().contains("\"state\":\"done\"").then_some(())
@@ -197,7 +187,7 @@ fn the_router_federates_shard_metrics_and_serves_its_flight_ring() {
 
     let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.text());
-    let id = json_id(&accepted.text());
+    let id = accepted.json().get("id").and_then(Value::as_u64).expect("id");
     poll(10, "the job to finish", || {
         let status = client.get(&format!("/jobs/{id}")).ok()?;
         status.text().contains("\"state\":\"done\"").then_some(())
@@ -248,7 +238,7 @@ fn a_dead_shard_s_timeline_survives_in_the_merged_trace() {
         .map(|_| {
             let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
             assert_eq!(accepted.status, 202, "{}", accepted.text());
-            json_id(&accepted.text())
+            accepted.json().get("id").and_then(Value::as_u64).expect("id")
         })
         .collect();
     let ring = router.ring();

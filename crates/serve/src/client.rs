@@ -11,6 +11,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use nptsn_obs::json::Value;
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::{Rng, SeedableRng};
 
@@ -78,6 +79,12 @@ impl ClientResponse {
     /// The body as UTF-8 text (lossy).
     pub fn text(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
+    }
+
+    /// The body parsed as JSON, or `Null` (every field absent) when it
+    /// does not parse.
+    pub fn json(&self) -> Value {
+        nptsn_obs::json::parse(&self.text()).unwrap_or(Value::Null)
     }
 }
 
@@ -340,8 +347,8 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let acceptor = std::thread::spawn(move || {
-            for stream in listener.incoming().take(64) {
-                drop(stream);
+            for _ in 0..64 {
+                drop(listener.accept());
             }
         });
         let mut client = Client::new(addr).with_backoff(BackoffConfig {

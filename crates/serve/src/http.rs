@@ -1,5 +1,6 @@
 //! A minimal HTTP/1.1 layer over `std::io` streams: request parsing with
-//! `Content-Length` bodies, response writing, and keep-alive semantics.
+//! `Content-Length` bodies, response writing, keep-alive semantics, and the
+//! one connection loop both the shard server and the router run.
 //!
 //! This is deliberately a small subset of the protocol — exactly what the
 //! planning service needs and nothing more. No chunked transfer encoding
@@ -9,9 +10,22 @@
 //! header line are capped, the header count is capped, and bodies larger
 //! than the configured maximum fail *before* allocation with
 //! [`HttpError::PayloadTooLarge`].
+//!
+//! [`serve_connections`] owns everything between the socket and a
+//! request handler: accepting, the keep-alive loop, socket timeouts and
+//! the header deadline, the error-to-status mapping, the close rules,
+//! the [`HttpMetrics`] series and the `{name}.accept` /
+//! `{name}.conn.write` chaos sites. The handler owns routing and the
+//! request span. [`ShutdownLatch`] is the matching one-shot stop signal.
 
-use std::io::{self, BufRead, Write};
-use std::time::Instant;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use crate::metrics::{Counter, Histogram, Registry};
 
 /// Hard cap on one request/header line (bytes, including CRLF).
 const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -364,6 +378,264 @@ impl Response {
         w.write_all(b"\r\n")?;
         w.write_all(&self.body)?;
         w.flush()
+    }
+}
+
+/// The per-connection limits, taken from the caller's configuration.
+#[derive(Debug, Clone, Copy)]
+pub struct Limits {
+    /// Largest accepted request body, in bytes.
+    pub max_body_bytes: usize,
+    /// Per-read/write socket timeout in milliseconds (`0` disables).
+    pub io_timeout_ms: u64,
+    /// Total deadline on reading one request head in milliseconds (`0`
+    /// disables).
+    pub header_deadline_ms: u64,
+}
+
+/// The request series the connection loop records, registered under the
+/// caller's prefix: `{prefix}_http_requests_total`,
+/// `{prefix}_http_request_seconds` and `{prefix}_http_responses_total`
+/// by `code`.
+#[derive(Debug, Clone)]
+pub struct HttpMetrics {
+    registry: Arc<Registry>,
+    responses_name: String,
+    /// Requests read off the wire, malformed ones included.
+    pub requests: Arc<Counter>,
+    /// Request latency, from when the loop starts reading the request to
+    /// the response being ready to write.
+    pub request_seconds: Arc<Histogram>,
+}
+
+impl HttpMetrics {
+    /// Registers the request series on `registry` under `prefix`.
+    pub fn register(registry: &Arc<Registry>, prefix: &str) -> HttpMetrics {
+        HttpMetrics {
+            registry: Arc::clone(registry),
+            responses_name: format!("{prefix}_http_responses_total"),
+            requests: registry
+                .counter(&format!("{prefix}_http_requests_total"), "HTTP requests received"),
+            request_seconds: registry.histogram(
+                &format!("{prefix}_http_request_seconds"),
+                "HTTP request handling latency",
+                &Histogram::latency_bounds(),
+            ),
+        }
+    }
+
+    /// The response counter for one status code.
+    pub fn response_counter(&self, code: u16) -> Arc<Counter> {
+        self.registry.counter_labeled(
+            &self.responses_name,
+            &format!("code=\"{code}\""),
+            "HTTP responses by status code",
+        )
+    }
+}
+
+/// A one-shot stop signal: the first [`ShutdownLatch::begin_shutdown`]
+/// runs the owner's hook, wakes the acceptor so it observes the flag,
+/// and releases every [`ShutdownLatch::wait`].
+pub struct ShutdownLatch {
+    wake_addr: SocketAddr,
+    on_begin: Box<dyn Fn() + Send + Sync>,
+    begun: AtomicBool,
+    done: Mutex<bool>,
+    done_cv: Condvar,
+}
+
+impl ShutdownLatch {
+    /// A latch for the listener bound at `wake_addr`; `on_begin` runs once,
+    /// before the acceptor is woken.
+    pub fn new(
+        wake_addr: SocketAddr,
+        on_begin: impl Fn() + Send + Sync + 'static,
+    ) -> ShutdownLatch {
+        ShutdownLatch {
+            wake_addr,
+            on_begin: Box::new(on_begin),
+            begun: AtomicBool::new(false),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+        }
+    }
+
+    /// Whether shutdown has begun.
+    pub fn is_shutting_down(&self) -> bool {
+        self.begun.load(Ordering::SeqCst)
+    }
+
+    /// Begins shutdown; every call after the first is a no-op.
+    pub fn begin_shutdown(&self) {
+        if self.begun.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        (self.on_begin)();
+        // Wake the acceptor so it observes the flag; errors are fine (the
+        // listener may already be gone).
+        let _ = TcpStream::connect(self.wake_addr);
+        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
+        *done = true;
+        self.done_cv.notify_all();
+    }
+
+    /// Blocks until shutdown has begun.
+    pub fn wait(&self) {
+        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
+        while !*done {
+            done = self.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// What one connection thread shares with the acceptor.
+struct Endpoint<H> {
+    limits: Limits,
+    metrics: HttpMetrics,
+    latch: Arc<ShutdownLatch>,
+    handler: H,
+    conn_thread: String,
+    write_site: String,
+}
+
+/// Starts the acceptor thread for `listener`: one detached thread per
+/// connection, each running a keep-alive loop that reads a request, asks
+/// `handler` for the response and writes it. `name` prefixes the thread
+/// names and the `{name}.accept` / `{name}.conn.write` chaos sites. The
+/// acceptor returns once `latch` has begun shutdown.
+///
+/// `handler` runs on the connection thread, so a span it opens covers the
+/// routing work of one request. `POST /shutdown` answered `200` begins
+/// shutdown only after the response is on the wire.
+pub fn serve_connections<H>(
+    name: &str,
+    listener: TcpListener,
+    limits: Limits,
+    metrics: HttpMetrics,
+    latch: Arc<ShutdownLatch>,
+    handler: H,
+) -> JoinHandle<()>
+where
+    H: Fn(&Request) -> Response + Send + Sync + 'static,
+{
+    let endpoint = Arc::new(Endpoint {
+        limits,
+        metrics,
+        latch,
+        handler,
+        conn_thread: format!("nptsn-{name}-conn"),
+        write_site: format!("{name}.conn.write"),
+    });
+    let accept_site = format!("{name}.accept");
+    std::thread::Builder::new()
+        .name(format!("nptsn-{name}-acceptor"))
+        .spawn(move || {
+            for stream in listener.incoming() {
+                if endpoint.latch.is_shutting_down() {
+                    return;
+                }
+                let Ok(stream) = stream else { continue };
+                // Chaos: a faulted accept drops the connection before a
+                // handler exists — the client sees a reset and must retry.
+                if nptsn_chaos::point(&accept_site).is_err() {
+                    continue;
+                }
+                let endpoint = Arc::clone(&endpoint);
+                // Connection threads are detached: they end when the
+                // client closes or after the first response once shutdown
+                // begins.
+                let _ = std::thread::Builder::new()
+                    .name(endpoint.conn_thread.clone())
+                    .spawn(move || handle_connection(&endpoint, stream));
+            }
+        })
+        .expect("spawn acceptor thread")
+}
+
+/// The response to a request that could not be read, or `None` when the
+/// connection should close quietly (clean EOF, idle timeout, socket
+/// failure). Every error response closes the connection: part of the
+/// request may still be on the wire.
+fn error_response(error: HttpError) -> Option<Response> {
+    let mut response = match error {
+        HttpError::Closed | HttpError::Timeout { mid_request: false } | HttpError::Io(_) => {
+            return None
+        }
+        HttpError::BadRequest(message) => Response::error(400, &message),
+        too_large @ HttpError::PayloadTooLarge { .. } => {
+            Response::error(413, &too_large.to_string())
+        }
+        HttpError::Timeout { mid_request: true } => Response::error(408, "request timed out"),
+    };
+    response.close = true;
+    Some(response)
+}
+
+fn handle_connection<H>(endpoint: &Endpoint<H>, stream: TcpStream)
+where
+    H: Fn(&Request) -> Response,
+{
+    let limits = endpoint.limits;
+    // Socket timeouts first: every read and write on this connection is
+    // individually bounded, so a stalled peer can never pin this thread.
+    // (Both halves share the underlying socket, so setting them once on
+    // the original stream covers the clone too.)
+    let io_timeout =
+        (limits.io_timeout_ms > 0).then(|| Duration::from_millis(limits.io_timeout_ms));
+    if stream.set_read_timeout(io_timeout).is_err() || stream.set_write_timeout(io_timeout).is_err()
+    {
+        return;
+    }
+    let Ok(read_half) = stream.try_clone() else { return };
+    let mut reader = BufReader::new(read_half);
+    let mut writer = BufWriter::new(stream);
+    loop {
+        let started = Instant::now();
+        let header_deadline = (limits.header_deadline_ms > 0)
+            .then(|| started + Duration::from_millis(limits.header_deadline_ms));
+        let read = match read_request_deadline(&mut reader, limits.max_body_bytes, header_deadline)
+        {
+            Ok(request) => Ok(request),
+            Err(error) => Err(match error_response(error) {
+                Some(response) => response,
+                None => return,
+            }),
+        };
+        // Counted before the handler runs, so a `/metrics` answer already
+        // includes the request asking for it.
+        endpoint.metrics.requests.inc();
+        let mut is_shutdown = false;
+        let response = match read {
+            Ok(request) => {
+                let mut response = (endpoint.handler)(&request);
+                is_shutdown = request.method == "POST"
+                    && request.path == "/shutdown"
+                    && response.status == 200;
+                response.close = response.close
+                    || request.wants_close()
+                    || endpoint.latch.is_shutting_down();
+                response
+            }
+            Err(response) => response,
+        };
+        endpoint.metrics.request_seconds.observe(started.elapsed().as_secs_f64());
+        endpoint.metrics.response_counter(response.status).inc();
+        // Chaos: a faulted write drops the connection with the response
+        // unsent — the client sees the connection die mid-exchange.
+        if nptsn_chaos::point(&endpoint.write_site).is_err() {
+            return;
+        }
+        let write_ok = response.write_to(&mut writer).is_ok();
+        // Shutdown begins only after the 200 is on the wire: the owner's
+        // wait() (and thus process exit) races this thread, so flushing
+        // first is what lets the requester actually see the confirmation.
+        if is_shutdown {
+            endpoint.latch.begin_shutdown();
+        }
+        if !write_ok || response.close {
+            return;
+        }
     }
 }
 

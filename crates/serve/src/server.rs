@@ -38,23 +38,21 @@
 //! the jobs the crash interrupted. `POST /jobs/infer?checkpoint=<name>`
 //! plans from a registered checkpoint without re-uploading it.
 
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use nptsn_format::json::Object;
 use nptsn_nn::checkpoint_shapes;
 use nptsn_store::{LogStore, MemStore, Storage, StoreError};
 
-use crate::http::{read_request_deadline, HttpError, Request, Response};
+use crate::http::{serve_connections, HttpMetrics, Limits, Request, Response, ShutdownLatch};
 use crate::jobs::{
     CancelOutcome, IngestError, IngestOutcome, JobOutcome, JobQueue, JobState, RetentionConfig,
     SubmitError,
 };
-use crate::metrics::{Counter, Gauge, Histogram, Registry};
+use crate::metrics::{Counter, Gauge, Registry};
 use crate::persist::{CheckpointRef, JobSpec, SpecError};
 use crate::registry::valid_name;
 
@@ -137,11 +135,9 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 pub struct ServeMetrics {
     /// The registry backing `/metrics`.
-    pub registry: Registry,
-    /// Requests read off the wire.
-    pub http_requests: Arc<Counter>,
-    /// End-to-end request handling latency.
-    pub http_request_seconds: Arc<Histogram>,
+    pub registry: Arc<Registry>,
+    /// The connection loop's request series (`nptsn_http_*`).
+    pub http: HttpMetrics,
     /// Jobs accepted into the queue.
     pub jobs_submitted: Arc<Counter>,
     /// Jobs that finished with a result.
@@ -163,14 +159,8 @@ pub struct ServeMetrics {
 impl ServeMetrics {
     /// Registers the full metric set on a fresh registry.
     pub fn new() -> ServeMetrics {
-        let registry = Registry::new();
-        let http_requests =
-            registry.counter("nptsn_http_requests_total", "HTTP requests received");
-        let http_request_seconds = registry.histogram(
-            "nptsn_http_request_seconds",
-            "HTTP request handling latency",
-            &Histogram::latency_bounds(),
-        );
+        let registry = Arc::new(Registry::new());
+        let http = HttpMetrics::register(&registry, "nptsn");
         let jobs_submitted =
             registry.counter("nptsn_jobs_submitted_total", "Jobs accepted into the queue");
         let jobs_completed =
@@ -185,8 +175,7 @@ impl ServeMetrics {
         let jobs_running = registry.gauge("nptsn_jobs_running", "Jobs currently executing");
         ServeMetrics {
             registry,
-            http_requests,
-            http_request_seconds,
+            http,
             jobs_submitted,
             jobs_completed,
             jobs_failed,
@@ -207,15 +196,6 @@ impl ServeMetrics {
         text.push_str(&nptsn_obs::telemetry().registry.render());
         text
     }
-
-    /// The per-status-code response counter (`nptsn_http_responses_total`).
-    pub fn response_counter(&self, code: u16) -> Arc<Counter> {
-        self.registry.counter_labeled(
-            "nptsn_http_responses_total",
-            &format!("code=\"{code}\""),
-            "HTTP responses by status code",
-        )
-    }
 }
 
 impl Default for ServeMetrics {
@@ -224,37 +204,19 @@ impl Default for ServeMetrics {
     }
 }
 
-/// State shared between the acceptor, connection handlers and workers.
+/// State shared between the connection handlers and workers.
 struct Shared {
     config: ServeConfig,
-    local_addr: SocketAddr,
     queue: Arc<JobQueue>,
     metrics: Arc<ServeMetrics>,
-    shutdown: AtomicBool,
-    done: Mutex<bool>,
-    done_cv: Condvar,
-}
-
-impl Shared {
-    /// Initiates shutdown exactly once: stop accepting jobs, wake the
-    /// acceptor, release `wait()`.
-    fn begin_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.queue.close();
-        // Wake the acceptor so it observes the flag; errors are fine (the
-        // listener may already be gone).
-        let _ = TcpStream::connect(self.local_addr);
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        self.done_cv.notify_all();
-    }
+    /// Closes the queue on the way down: no new jobs, drain the rest.
+    latch: Arc<ShutdownLatch>,
 }
 
 /// The running service: a TCP acceptor plus the worker pool.
 pub struct Server {
     shared: Arc<Shared>,
+    local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -302,15 +264,11 @@ impl Server {
                 ),
             );
         }
-        let shared = Arc::new(Shared {
-            config,
-            local_addr,
-            queue,
-            metrics,
-            shutdown: AtomicBool::new(false),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        });
+        let latch = Arc::new(ShutdownLatch::new(local_addr, {
+            let queue = Arc::clone(&queue);
+            move || queue.close()
+        }));
+        let shared = Arc::new(Shared { config, queue, metrics, latch });
 
         let job_deadline = (shared.config.job_deadline_ms > 0)
             .then(|| Duration::from_millis(shared.config.job_deadline_ms));
@@ -324,20 +282,28 @@ impl Server {
             })
             .collect();
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("nptsn-serve-acceptor".to_string())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn acceptor thread")
-        };
+        let acceptor = serve_connections(
+            "serve",
+            listener,
+            Limits {
+                max_body_bytes: shared.config.max_body_bytes,
+                io_timeout_ms: shared.config.io_timeout_ms,
+                header_deadline_ms: shared.config.header_deadline_ms,
+            },
+            shared.metrics.http.clone(),
+            Arc::clone(&shared.latch),
+            {
+                let shared = Arc::clone(&shared);
+                move |request| handle(&shared, request)
+            },
+        );
 
-        Ok(Server { shared, acceptor: Some(acceptor), workers })
+        Ok(Server { shared, local_addr, acceptor: Some(acceptor), workers })
     }
 
     /// The bound address (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.local_addr
     }
 
     /// The service metrics (for embedding / tests).
@@ -354,7 +320,7 @@ impl Server {
     /// Initiates shutdown from the embedding process, as `POST /shutdown`
     /// would.
     pub fn stop(&self) {
-        self.shared.begin_shutdown();
+        self.shared.latch.begin_shutdown();
     }
 
     /// Blocks until shutdown is requested (via `POST /shutdown` or
@@ -362,12 +328,7 @@ impl Server {
     /// Every job accepted before the shutdown has its result recorded
     /// before this returns.
     pub fn wait(mut self) {
-        {
-            let mut done = self.shared.done.lock().unwrap_or_else(|e| e.into_inner());
-            while !*done {
-                done = self.shared.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
-            }
-        }
+        self.shared.latch.wait();
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
@@ -390,127 +351,26 @@ fn store_io_error(e: StoreError) -> std::io::Error {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        // Chaos: a faulted accept drops the connection before a handler
-        // exists — the client sees a reset and must retry.
-        if nptsn_chaos::point("serve.accept").is_err() {
-            drop(stream);
-            continue;
-        }
-        let shared = Arc::clone(shared);
-        // Connection handlers are detached: they end when the client
-        // closes or after the first response once shutdown begins.
-        let _ = std::thread::Builder::new()
-            .name("nptsn-serve-conn".to_string())
-            .spawn(move || handle_connection(&shared, stream));
+/// The connection loop's handler: adopts the caller's trace context and
+/// routes the request under the `http.request` span.
+fn handle(shared: &Arc<Shared>, request: &Request) -> Response {
+    // Adopt the caller's trace context (router-minted) before opening the
+    // request span, so this span and everything the request causes —
+    // including the job, which carries the context through the queue —
+    // share one fleet-wide trace id.
+    let _trace = nptsn_obs::with_trace(
+        request.header("x-nptsn-trace").and_then(nptsn_obs::TraceContext::parse),
+    );
+    let _span = nptsn_obs::span("http.request");
+    let response = route(shared, request);
+    if nptsn_obs::enabled() {
+        nptsn_obs::event(
+            nptsn_obs::Level::Debug,
+            "http.request",
+            &format!("{} {} -> {}", request.method, request.path, response.status),
+        );
     }
-}
-
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    // Socket timeouts first: every read and write on this connection is
-    // individually bounded, so a stalled peer can never pin this thread.
-    // (Both halves share the underlying socket, so setting them once on
-    // the original stream covers the clone too.)
-    let io_timeout =
-        (shared.config.io_timeout_ms > 0).then(|| Duration::from_millis(shared.config.io_timeout_ms));
-    if stream.set_read_timeout(io_timeout).is_err() || stream.set_write_timeout(io_timeout).is_err()
-    {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let started = Instant::now();
-        let header_deadline = (shared.config.header_deadline_ms > 0)
-            .then(|| started + Duration::from_millis(shared.config.header_deadline_ms));
-        let mut is_shutdown = false;
-        let response = match read_request_deadline(
-            &mut reader,
-            shared.config.max_body_bytes,
-            header_deadline,
-        ) {
-            Ok(request) => {
-                // Adopt the caller's trace context (router-minted) before
-                // opening the request span, so this span and everything the
-                // request causes — including the job, which carries the
-                // context through the queue — share one fleet-wide trace id.
-                let _trace = nptsn_obs::with_trace(
-                    request.header("x-nptsn-trace").and_then(nptsn_obs::TraceContext::parse),
-                );
-                let _span = nptsn_obs::span("http.request");
-                shared.metrics.http_requests.inc();
-                is_shutdown = request.method == "POST" && request.path == "/shutdown";
-                let mut response = route(shared, &request);
-                if nptsn_obs::enabled() {
-                    nptsn_obs::event(
-                        nptsn_obs::Level::Debug,
-                        "http.request",
-                        &format!("{} {} -> {}", request.method, request.path, response.status),
-                    );
-                }
-                response.close = response.close
-                    || request.wants_close()
-                    || shared.shutdown.load(Ordering::SeqCst);
-                response
-            }
-            Err(HttpError::Closed) => return,
-            Err(HttpError::BadRequest(message)) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(400, &message);
-                r.close = true;
-                r
-            }
-            Err(HttpError::PayloadTooLarge { declared, limit }) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(
-                    413,
-                    &format!("body of {declared} bytes exceeds the {limit}-byte limit"),
-                );
-                // The unread body is still on the wire; the connection
-                // cannot be reused.
-                r.close = true;
-                r
-            }
-            // An idle keep-alive connection timing out is the normal end
-            // of a session — close quietly, exactly like a client EOF.
-            Err(HttpError::Timeout { mid_request: false }) => return,
-            Err(HttpError::Timeout { mid_request: true }) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(408, "request timed out");
-                // Part of a request is still on the wire; the connection
-                // cannot be reused.
-                r.close = true;
-                r
-            }
-            Err(HttpError::Io(_)) => return,
-        };
-        shared
-            .metrics
-            .http_request_seconds
-            .observe(started.elapsed().as_secs_f64());
-        shared.metrics.response_counter(response.status).inc();
-        // Chaos: a faulted write drops the connection with the response
-        // unsent — the client sees the connection die mid-exchange.
-        if nptsn_chaos::point("serve.conn.write").is_err() {
-            return;
-        }
-        let write_ok = response.write_to(&mut writer).is_ok();
-        // Shutdown is initiated only after the 200 is on the wire: wait()
-        // (and thus process exit) races this handler thread, so flushing
-        // first is what lets the requester actually see the confirmation.
-        if is_shutdown {
-            shared.begin_shutdown();
-        }
-        if !write_ok || response.close {
-            return;
-        }
-    }
+    response
 }
 
 /// Parses a query parameter as `T`, with a default when absent.
@@ -547,8 +407,8 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
             r.content_type = "text/plain; version=0.0.4";
             r
         }
-        // The actual begin_shutdown() call happens in handle_connection
-        // *after* this response is flushed — see the ordering note there.
+        // The connection loop begins shutdown only *after* this response
+        // is flushed — see `http::serve_connections`.
         ("POST", "/shutdown") => {
             let mut obj = Object::new();
             obj.str("status", "shutting down");
@@ -587,7 +447,7 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
 /// queue occupancy, the id watermark, persist-error and store occupancy
 /// counters.
 fn readyz(shared: &Arc<Shared>) -> Response {
-    if shared.shutdown.load(Ordering::SeqCst) {
+    if shared.latch.is_shutting_down() {
         let mut obj = Object::new();
         obj.str("status", "draining");
         let mut r = Response::json(503, obj.finish());
@@ -633,12 +493,9 @@ fn route_replay(shared: &Arc<Shared>, request: &Request) -> Response {
     if request.method != "POST" {
         return Response::error(405, "method not allowed");
     }
-    let Ok(id) = id_text.parse::<u64>() else {
+    let Some(id) = wire_job_id(id_text) else {
         return Response::error(400, "replay id is not a valid job id");
     };
-    if id == 0 {
-        return Response::error(400, "job id 0 is reserved");
-    }
     // A replica write-through: the record is held passive under the
     // primary's name instead of being activated, so a later promotion
     // (`POST /internal/promote`) can requeue it without a dead-log replay.
@@ -737,12 +594,9 @@ fn route_trace_ingest(shared: &Arc<Shared>, request: &Request) -> Response {
     if request.method != "POST" {
         return Response::error(405, "method not allowed");
     }
-    let Ok(id) = id_text.parse::<u64>() else {
+    let Some(id) = wire_job_id(id_text) else {
         return Response::error(400, "trace id is not a valid job id");
     };
-    if id == 0 {
-        return Response::error(400, "job id 0 is reserved");
-    }
     match shared.queue.ingest_trace(id, &request.body) {
         Ok(()) => {
             let mut obj = Object::new();
@@ -1002,15 +856,23 @@ fn submit_result(shared: &Arc<Shared>, result: Result<u64, SubmitError>) -> Resp
     }
 }
 
+/// A job id another process hands this shard (explicit submission ids,
+/// replayed records and timelines): `1..=2^53`. 2^53 is the last integer
+/// every JSON reader holds exactly, so each id a shard holds reads back
+/// as the same number from its answers (`/readyz` watermark, submits).
+fn wire_job_id(text: &str) -> Option<u64> {
+    text.trim().parse::<u64>().ok().filter(|id| (1..=1 << 53).contains(id))
+}
+
 /// The router-assigned explicit job id, if the submission carries one
 /// (`X-Nptsn-Job-Id`). Direct submissions have none and the queue assigns
 /// the next local id.
 fn explicit_id(request: &Request) -> Result<Option<u64>, Response> {
     match request.header("x-nptsn-job-id") {
         None => Ok(None),
-        Some(raw) => match raw.trim().parse::<u64>() {
-            Ok(id) if id > 0 => Ok(Some(id)),
-            _ => Err(Response::error(400, "X-Nptsn-Job-Id is not a valid job id")),
+        Some(raw) => match wire_job_id(raw) {
+            Some(id) => Ok(Some(id)),
+            None => Err(Response::error(400, "X-Nptsn-Job-Id is not a valid job id")),
         },
     }
 }
@@ -1183,17 +1045,27 @@ fn submit_infer(shared: &Arc<Shared>, request: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nptsn_obs::json::Value;
 
     fn test_shared() -> Arc<Shared> {
+        let queue = Arc::new(JobQueue::new(2));
+        let latch = ShutdownLatch::new("127.0.0.1:1".parse().unwrap(), {
+            let queue = Arc::clone(&queue);
+            move || queue.close()
+        });
         Arc::new(Shared {
             config: ServeConfig::default(),
-            local_addr: "127.0.0.1:1".parse().unwrap(),
-            queue: Arc::new(JobQueue::new(2)),
+            queue,
             metrics: Arc::new(ServeMetrics::new()),
-            shutdown: AtomicBool::new(false),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
+            latch: Arc::new(latch),
         })
+    }
+
+    /// The job id of a `202` submission answer.
+    fn accepted_id(accepted: Response) -> u64 {
+        let body = String::from_utf8(accepted.body).unwrap();
+        let doc = nptsn_obs::json::parse(&body).expect("JSON answer");
+        doc.get("id").and_then(Value::as_u64).expect("id in response")
     }
 
     fn request(method: &str, path: &str) -> Request {
@@ -1313,12 +1185,7 @@ mod tests {
         let shared = test_shared();
         let accepted = route(&shared, &request("POST", "/jobs/burn"));
         assert_eq!(accepted.status, 202);
-        let body = String::from_utf8(accepted.body).unwrap();
-        let id: u64 = body
-            .split("\"id\":")
-            .nth(1)
-            .and_then(|s| s.chars().take_while(char::is_ascii_digit).collect::<String>().parse().ok())
-            .expect("id in response");
+        let id = accepted_id(accepted);
         shared.queue.run_one(&shared.metrics).expect("one job runs");
 
         let deleted = route(&shared, &request("DELETE", &format!("/jobs/{id}")));
@@ -1332,14 +1199,14 @@ mod tests {
     #[test]
     fn shutdown_responds_then_closes_the_queue() {
         let shared = test_shared();
-        // route() only builds the confirmation; handle_connection triggers
-        // begin_shutdown after the response is flushed.
+        // route() only builds the confirmation; the connection loop begins
+        // shutdown after the response is flushed.
         let response = route(&shared, &request("POST", "/shutdown"));
         assert_eq!(response.status, 200);
         assert!(response.close);
         assert_eq!(route(&shared, &request("POST", "/jobs/burn")).status, 202);
 
-        shared.begin_shutdown();
+        shared.latch.begin_shutdown();
         let refused = route(&shared, &request("POST", "/jobs/burn"));
         assert_eq!(refused.status, 503);
     }
@@ -1356,7 +1223,7 @@ mod tests {
         assert!(body.contains("\"persist_errors\":"), "{body}");
         assert_eq!(route(&shared, &request("POST", "/readyz")).status, 405);
 
-        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.latch.begin_shutdown();
         let draining = route(&shared, &request("GET", "/readyz"));
         assert_eq!(draining.status, 503);
         let body = String::from_utf8(draining.body).unwrap();
@@ -1384,12 +1251,18 @@ mod tests {
         let conflict = route(&shared, &routed);
         assert_eq!(conflict.status, 409);
         assert!(conflict.extra_headers.iter().all(|(name, _)| name != "Retry-After"));
-        // Garbage ids are a 400 before anything is queued.
-        for bad in ["abc", "0", "-3"] {
+        // Garbage ids are a 400 before anything is queued, and so is any
+        // id past 2^53, which a JSON reader could not read back exactly.
+        for bad in ["abc", "0", "-3", "9007199254740993", "18446744073709551615"] {
             let mut r = request("POST", "/jobs/burn");
             r.headers.push(("x-nptsn-job-id".into(), bad.into()));
             assert_eq!(route(&shared, &r).status, 400, "{bad}");
         }
+        let mut top = request("POST", "/jobs/burn");
+        top.headers.push(("x-nptsn-job-id".into(), "9007199254740992".into()));
+        let accepted = route(&shared, &top);
+        assert_eq!(accepted.status, 202);
+        assert_eq!(accepted_id(accepted), 1 << 53);
     }
 
     #[test]
@@ -1408,12 +1281,7 @@ mod tests {
         shared.queue.set_shard_label("s1");
         let accepted = route(&shared, &request("POST", "/jobs/burn"));
         assert_eq!(accepted.status, 202);
-        let body = String::from_utf8(accepted.body).unwrap();
-        let id: u64 = body
-            .split("\"id\":")
-            .nth(1)
-            .and_then(|s| s.chars().take_while(char::is_ascii_digit).collect::<String>().parse().ok())
-            .expect("id in response");
+        let id = accepted_id(accepted);
 
         // Known job, no timeline yet: an empty span list, not a 404.
         let trace = route(&shared, &request("GET", &format!("/jobs/{id}/trace")));
@@ -1496,5 +1364,11 @@ mod tests {
         assert_eq!(route(&shared, &request("POST", "/internal/replay/abc")).status, 400);
         assert_eq!(route(&shared, &request("POST", "/internal/replay/0")).status, 400);
         assert_eq!(route(&shared, &request("GET", "/internal/replay/7")).status, 405);
+        // Replay is held to the same 2^53 ceiling as explicit submission ids.
+        let mut past = request("POST", "/internal/replay/9007199254740993");
+        past.body = replay.body.clone();
+        let refused = route(&shared, &past);
+        assert_eq!(refused.status, 400);
+        assert!(String::from_utf8(refused.body).unwrap().contains("not a valid job id"));
     }
 }

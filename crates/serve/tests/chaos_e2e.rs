@@ -11,21 +11,11 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use nptsn_chaos::{arm_scoped, FaultKind, FaultPlan, SiteRule};
+use nptsn_obs::json::Value;
 use nptsn_serve::{BackoffConfig, Client, JobState, ServeConfig, Server};
 
 fn start(config: ServeConfig) -> Server {
     Server::bind(config).expect("bind an ephemeral port")
-}
-
-fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
 }
 
 /// Satellite fix: server connections are bounded by socket timeouts and a
@@ -198,7 +188,7 @@ a b 500 128
     // fuses them into one batch.
     let burn = client.post("/jobs/burn?millis=1000", &[]).unwrap();
     assert_eq!(burn.status, 202, "{}", burn.text());
-    let burn_id = json_u64(&burn.text(), "id");
+    let burn_id = burn.json().get("id").and_then(Value::as_u64).expect("id");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let body = client.get(&format!("/jobs/{burn_id}")).unwrap().text();
@@ -214,7 +204,7 @@ a b 500 128
                 .post("/jobs/infer?checkpoint=smoke&attempts=2&seed=5", DOC.as_bytes())
                 .unwrap();
             assert_eq!(r.status, 202, "{}", r.text());
-            json_u64(&r.text(), "id")
+            r.json().get("id").and_then(Value::as_u64).expect("id")
         })
         .collect();
 
@@ -300,7 +290,7 @@ fn a_faulted_trace_flush_degrades_the_timeline_never_the_job() {
         )
         .unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.text());
-    let id = json_u64(&accepted.text(), "id");
+    let id = accepted.json().get("id").and_then(Value::as_u64).expect("id");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let body = client.get(&format!("/jobs/{id}")).unwrap().text();
@@ -383,7 +373,7 @@ fn seeded_storm_loses_no_jobs_and_drains_clean() {
     for _ in 0..12 {
         let response = client.post("/jobs/burn?millis=1", &[]).expect("submit through storm");
         if response.status == 202 {
-            ids.push(json_u64(&response.text(), "id"));
+            ids.push(response.json().get("id").and_then(Value::as_u64).expect("id"));
         } else {
             assert_eq!(response.status, 503, "{}", response.text());
         }

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 use nptsn::{FailureAnalyzer, Planner, PlannerConfig, Solution, Verdict};
 use nptsn_format::{parse_plan, parse_problem, write_plan};
 use nptsn_nn::{params_from_bytes, params_to_bytes, Module};
+use nptsn_obs::json::Value;
 use nptsn_serve::{Client, ClientResponse, JobState, ServeConfig, Server};
 
 const DOC: &str = "\
@@ -38,22 +39,10 @@ fn start(workers: usize, queue_depth: usize) -> (Server, Client) {
     (server, client)
 }
 
-/// Pulls the number following `"key":` out of a flat JSON document.
-fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
-}
-
 fn submit(client: &mut Client, path: &str, body: &[u8]) -> u64 {
     let response = client.post(path, body).expect("submit");
     assert_eq!(response.status, 202, "{}", response.text());
-    json_u64(&response.text(), "id")
+    response.json().get("id").and_then(Value::as_u64).expect("id")
 }
 
 /// Polls `GET /jobs/<id>` until the job reaches a terminal state,
@@ -66,7 +55,8 @@ fn poll_until_done(client: &mut Client, id: u64) -> (String, u64) {
         let response = client.get(&format!("/jobs/{id}")).expect("poll");
         assert_eq!(response.status, 200, "{}", response.text());
         let body = response.text();
-        max_epochs = max_epochs.max(json_u64(&body, "epochs_completed"));
+        let epochs = response.json().get("epochs_completed").and_then(Value::as_u64);
+        max_epochs = max_epochs.max(epochs.expect("epochs_completed"));
         let terminal = [
             JobState::Done.label(),
             JobState::Failed.label(),
@@ -146,7 +136,7 @@ fn plan_poll_fetch_verify_roundtrip() {
         )
         .unwrap();
     assert_eq!(infer.status, 202, "{}", infer.text());
-    let infer_id = json_u64(&infer.text(), "id");
+    let infer_id = infer.json().get("id").and_then(Value::as_u64).expect("id");
     let (infer_status, _) = poll_until_done(&mut client, infer_id);
     assert_eq!(state_of(&infer_status), "done", "{infer_status}");
     let inferred_plan = client.get(&format!("/jobs/{infer_id}/plan")).unwrap();
@@ -314,7 +304,7 @@ fn checkpoint_uploads_are_hardened() {
 
     let ok = post_infer(&mut client, &valid);
     assert_eq!(ok.status, 202, "{}", ok.text());
-    let id = json_u64(&ok.text(), "id");
+    let id = ok.json().get("id").and_then(Value::as_u64).expect("id");
     let (status, _) = poll_until_done(&mut client, id);
     // An untrained policy may or may not find a plan; either way the job
     // terminates cleanly rather than poisoning the worker.

@@ -141,9 +141,10 @@ pub trait Storage: Send + Sync + fmt::Debug {
     fn stats(&self) -> StoreStats;
 }
 
-/// CRC-32 (IEEE, reflected) — the same checksum as the `NPTSNCK2`
-/// checkpoint trailer, so one corruption model covers both formats.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+/// CRC-32 (IEEE, reflected), bitwise — the checksum of every segment-log
+/// frame and of the `NPTSNCK2` checkpoint trailer, so one corruption
+/// model covers both formats.
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFF_u32;
     for &b in bytes {
         crc ^= b as u32;
@@ -160,7 +161,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crc32_reference_vector() {
+    fn checksum_reference_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
